@@ -49,7 +49,9 @@ _SEEDABLE = {
 
 # ``os.environ`` itself (including ``os.environ.get``/``[...]``) is caught
 # as an attribute access; only the function spelling needs a call entry.
-_ENV_READS = {"os.getenv"}
+# Host-shape reads (core counts, affinity) are ambient inputs too.
+_ENV_READS = {"os.getenv", "os.cpu_count", "os.sched_getaffinity",
+               "multiprocessing.cpu_count"}
 
 
 @register

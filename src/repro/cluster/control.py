@@ -45,9 +45,8 @@ reproduces the pre-live-migration closed loop bit-exactly.
 
 from __future__ import annotations
 
-import os
+import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -133,12 +132,6 @@ class ControlConfig:
     max_epochs:
         Safety bound; a run still undrained after this many epochs is
         finished in one final unbounded segment (no further control).
-    parallel_replicas:
-        Advance independent replicas concurrently within each epoch
-        (replicas share nothing between control points).  Replicas that
-        share one cached engine advance sequentially on a single worker;
-        results are bit-identical either way, so this is purely a speed
-        knob.
     """
 
     epoch_s: float = 20.0
@@ -150,11 +143,10 @@ class ControlConfig:
     lookahead_epochs: int = 2
     feedback_alpha: float = 0.5
     max_epochs: int = 10_000
-    parallel_replicas: bool = True
 
     def __post_init__(self) -> None:
-        if self.epoch_s <= 0:
-            raise ValueError("epoch_s must be positive")
+        if not (math.isfinite(self.epoch_s) and self.epoch_s > 0):
+            raise ValueError("epoch_s must be positive and finite")
         if self.rebalance not in REBALANCE_MODES:
             raise ValueError(
                 f"unknown rebalance mode {self.rebalance!r}; "
@@ -165,8 +157,8 @@ class ControlConfig:
                 f"unknown migration mode {self.migration!r}; "
                 f"choose from {MIGRATION_MODES}"
             )
-        if self.hysteresis < 0:
-            raise ValueError("hysteresis must be non-negative")
+        if not (math.isfinite(self.hysteresis) and self.hysteresis >= 0):
+            raise ValueError("hysteresis must be non-negative and finite")
         if self.min_epochs_between < 0:
             raise ValueError("min_epochs_between must be non-negative")
         if self.lookahead_epochs <= 0:
@@ -413,38 +405,9 @@ class ClusterControlLoop:
 
     def _advance_all(self, live: Dict[int, "_ReplicaRuntime"],
                      until_s: Optional[float] = None) -> None:
-        """Advance every live replica to ``until_s`` (or fully drained).
-
-        Replicas share nothing between control points, so distinct engines
-        advance concurrently under ``parallel_replicas``.  Replicas that
-        share one cached :class:`ServingEngine` (same tenant-set/device
-        shape) stay on a single worker: the engine's lazily-filled cost
-        tables are the only mutable structure two states have in common,
-        and the shared :class:`PerformanceModel` cache below them is
-        lock-protected, so concurrent groups fill identical values and
-        every replica's trajectory is bit-identical to the sequential
-        order.
-        """
-        runtimes = list(live.values())
-        groups: Dict[int, List[_ReplicaRuntime]] = {}
-        if self.config.parallel_replicas and len(runtimes) > 1:
-            for runtime in runtimes:
-                groups.setdefault(id(runtime.engine), []).append(runtime)
-        if len(groups) <= 1:
-            for runtime in runtimes:
-                runtime.engine.advance(runtime.state, until_s=until_s)
-            return
-
-        def drain(group: List[_ReplicaRuntime]) -> None:
-            for runtime in group:
-                runtime.engine.advance(runtime.state, until_s=until_s)
-
-        workers = min(len(groups), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(drain, group)
-                       for group in groups.values()]
-            for future in futures:
-                future.result()
+        """Advance every live replica to ``until_s`` (or fully drained)."""
+        for runtime in live.values():
+            runtime.engine.advance(runtime.state, until_s=until_s)
 
     # ------------------------------------------------------------------ run
 

@@ -25,7 +25,6 @@ one token per stage beat per replica.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Sequence
 
 import numpy as np
@@ -67,7 +66,6 @@ class IterationCostModel:
         # ``block_latency_ns`` so table reads are bit-identical to the
         # scalar path.
         self._table_ns = np.full(model.max_context + 1, np.nan)
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ block level
 
@@ -108,21 +106,20 @@ class IterationCostModel:
         lower = np.maximum((contexts // step) * step, 1)
         off_grid = contexts != lower
         upper = np.minimum(lower + step, self.model.max_context)
-        with self._lock:
-            for point in np.unique(
-                np.concatenate([lower, upper[off_grid]])
-            ).tolist():
-                self._grid_latency_ns(int(point))
-            grid = self._grid_ns
-            low = np.array([grid[p] for p in lower.tolist()])
-            high = low.copy()
-            high[off_grid] = [grid[p] for p in upper[off_grid].tolist()]
-            fraction = np.zeros(len(contexts))
-            fraction[off_grid] = (
-                (contexts[off_grid] - lower[off_grid])
-                / (upper[off_grid] - lower[off_grid])
-            )
-            self._table_ns[contexts] = low + (high - low) * fraction
+        for point in np.unique(
+            np.concatenate([lower, upper[off_grid]])
+        ).tolist():
+            self._grid_latency_ns(int(point))
+        grid = self._grid_ns
+        low = np.array([grid[p] for p in lower.tolist()])
+        high = low.copy()
+        high[off_grid] = [grid[p] for p in upper[off_grid].tolist()]
+        fraction = np.zeros(len(contexts))
+        fraction[off_grid] = (
+            (contexts[off_grid] - lower[off_grid])
+            / (upper[off_grid] - lower[off_grid])
+        )
+        self._table_ns[contexts] = low + (high - low) * fraction
 
     def _table_latencies(self, contexts: np.ndarray) -> np.ndarray:
         """Per-block latencies for an int array of *clipped* contexts."""

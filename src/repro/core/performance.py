@@ -11,7 +11,6 @@ parallelisation plan, and caches the result.  Inference-level aggregation
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
@@ -71,11 +70,6 @@ class PerformanceModel:
             raise ValueError("cache capacity must be positive")
         self.cache_capacity = cache_capacity
         self._cache: "OrderedDict[Tuple, BlockCost]" = OrderedDict()
-        # One model instance backs every engine of a CentSystem; replicas
-        # advancing on worker threads (cluster ``parallel_replicas``) hit
-        # this cache concurrently.  Simulation runs outside the lock — a
-        # racing duplicate computes the same deterministic value.
-        self._cache_lock = threading.Lock()
         self._pnm_latency = PnmLatencyModel(
             clock_ghz=config.pnm_clock_ghz, instances=config.pnm_units
         )
@@ -95,20 +89,15 @@ class PerformanceModel:
         fc_channels = plan.fc_channels_per_block(model)
         attention_channels = plan.attention_channels_per_block(model)
         key = (model.name, context_length, fc_channels, attention_channels)
-        with self._cache_lock:
-            base = self._cache.get(key)
-            if base is not None:
-                self._cache.move_to_end(key)
-        if base is None:
-            simulated = self._simulate_block(
+        base = self._cache.get(key)
+        if base is not None:
+            self._cache.move_to_end(key)
+        else:
+            base = self._cache[key] = self._simulate_block(
                 model, context_length, fc_channels, attention_channels
             )
-            with self._cache_lock:
-                base = self._cache.get(key)
-                if base is None:
-                    base = self._cache[key] = simulated
-                    while len(self._cache) > self.cache_capacity:
-                        self._cache.popitem(last=False)
+            while len(self._cache) > self.cache_capacity:
+                self._cache.popitem(last=False)
         cxl_ns = self._cxl_latency_ns(model, plan)
         breakdown = LatencyBreakdown(
             pim_ns=base.breakdown.pim_ns,

@@ -1,7 +1,14 @@
 """Tests for closed-loop cluster control and segmented serving runs."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cluster import (
     MIGRATION_MODES,
     ClusterEngine,
@@ -57,9 +64,12 @@ class TestControlConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"epoch_s": 0.0},
+        {"epoch_s": float("nan")},
+        {"epoch_s": float("inf")},
         {"rebalance": "hourly"},
         {"migration": "teleport"},
         {"hysteresis": -0.1},
+        {"hysteresis": float("nan")},
         {"min_epochs_between": -1},
         {"lookahead_epochs": 0},
         {"feedback_alpha": 0.0},
@@ -581,6 +591,36 @@ class TestClusterLiveMigration:
                                                   epoch_s=0.05,
                                                   migration="live")
         assert again == live_result
+
+    def test_live_mode_is_independent_of_the_hash_seed(self, small_model):
+        """Set and dict-of-str iteration order varies with PYTHONHASHSEED;
+        two interpreters seeded differently must fingerprint the live
+        closed loop identically."""
+        script = (
+            "import pickle, sys\n"
+            "from test_cluster_control import TestClusterLiveMigration\n"
+            "model = pickle.load(sys.stdin.buffer)\n"
+            "result = TestClusterLiveMigration().make_engine(model).run(\n"
+            "    rebalance='epoch', epoch_s=0.05)\n"
+            "print(repr((\n"
+            "    [(name, r.makespan_s, r.queue_depth_timeline,\n"
+            "      r.goodput_tokens_per_s)\n"
+            "     for name, r in result.tenant_results.items()],\n"
+            "    result.epoch_timeline, result.num_rebalances,\n"
+            "    result.num_migrated_requests)))\n"
+        )
+        path = os.pathsep.join([str(Path(repro.__file__).parents[1]),
+                                str(Path(__file__).parent)])
+
+        def fingerprint(hash_seed):
+            env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], input=pickle.dumps(small_model),
+                capture_output=True, env=env, timeout=120, check=False)
+            assert proc.returncode == 0, proc.stderr.decode()
+            return proc.stdout
+
+        assert fingerprint("0") == fingerprint("1")
 
     def test_migration_study_reports_the_gain(self, small_model):
         from repro.evaluation import migration_study

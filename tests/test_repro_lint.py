@@ -52,9 +52,10 @@ class TestDeterminism:
                 c = datetime.datetime.now()
                 d = os.environ["SEED"]
                 e = os.getenv("SEED")
-                return a, b, c, d, e
+                f = os.cpu_count()
+                return a, b, c, d, e, f
             """)
-        assert rule_ids(result) == ["determinism"] * 5
+        assert rule_ids(result) == ["determinism"] * 6
 
     def test_aliased_import_resolves(self, tmp_path):
         result = lint_snippet(tmp_path, "mod.py", """\
