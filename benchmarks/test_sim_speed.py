@@ -1,23 +1,25 @@
 """Simulator throughput: simulated requests per second of wall clock.
 
 Unlike every other benchmark (which regenerates a paper figure), this one
-measures the *simulator itself* — the vectorized iteration core of
-``ServingEngine.advance`` — because raw simulator speed is what caps the
+measures the *simulator itself* — ``ServingEngine.advance`` and its
+event-horizon fast-forward — because raw simulator speed is what caps the
 scale of every cluster study the repo can run.  Two traces:
 
 * a 10^4-request single-replica trace in the engine's dominant large-trace
   regime (short prompts, long decodes), where the event-horizon
   fast-forward advances whole decode windows in closed form;
 * a 10^3-request two-tenant closed-loop trace through the full cluster
-  control loop (routing, epochs, re-placement, parallel replicas).
+  control loop (routing, epochs, re-placement, replicas advanced one
+  after another).
 
 The headline ``sim_requests_per_s`` numbers are attached as ``extra_info``;
 the ``requests_per_s`` marker in ``benchmarks/compare_bench.py`` makes them
 higher-is-better gated metrics, so a change that quietly slows the
 simulator fails CI exactly like one that erodes serving goodput.
-``sim_speedup_vs_scalar`` (vectorized vs ``vectorize=False`` on a prefix of
-the same trace) is attached unmarked, for the record only: the scalar
-reference path pays view-object overhead and is not a gated number.
+``sim_speedup_vs_scalar`` (the default engine vs ``vectorize=False``, the
+same engine with the fast-forward off, on a prefix of the same trace) is
+attached unmarked, for the record only: it measures what the fast-forward
+saves over stepping every decode iteration, and is not a gated number.
 """
 
 import time
@@ -65,8 +67,8 @@ def test_single_replica_sim_speed(benchmark, once, capsys):
                    sla_latency_s=600.0)
     requests_per_s = SINGLE_REPLICA_REQUESTS / elapsed
 
-    # Scalar reference on a prefix (the full scalar trace takes minutes):
-    # same engine semantics with every vectorized path switched off.
+    # Fast-forward off on a prefix (the full stepped trace takes minutes):
+    # the same engine stepping every iteration one at a time.
     prefix = trace[:500]
     scalar = ServingEngine(system, admission="paged", vectorize=False)
     scalar.simulate(prefix, sla_latency_s=600.0)
@@ -82,11 +84,11 @@ def test_single_replica_sim_speed(benchmark, once, capsys):
         print(f"single-replica sim speed: {requests_per_s:,.0f} "
               f"simulated requests/s ({elapsed:.2f}s wall for "
               f"{SINGLE_REPLICA_REQUESTS:,} requests); "
-              f"{speedup:.1f}x vs scalar path on a 500-request prefix")
+              f"{speedup:.1f}x vs fast-forward off on a 500-request prefix")
 
     # Floors are set far below measured values (machine-dependent), high
-    # enough to catch the vectorized core silently falling back to the
-    # scalar path (~300 req/s on this trace).
+    # enough to catch the fast-forward silently never engaging, which
+    # steps every decode iteration (~300 req/s on this trace).
     assert requests_per_s > 1_000
     assert speedup > 2.0
 

@@ -176,26 +176,6 @@ class IterationCostModel:
         totals = latencies.cumsum(axis=1)[:, -1]
         return self._effective_layers * (totals / n) * 1e-9
 
-    def prefill_chunk_batch_s(
-        self,
-        num_tokens: np.ndarray,
-        context_lengths: np.ndarray,
-    ) -> float:
-        """Sequentially-summed :meth:`prefill_chunk_s` over parallel arrays.
-
-        Returns the left-to-right fold the engine's chunk loop would
-        accumulate (``0.0 + chunk_0 + chunk_1 + ...``), bit-exact with the
-        scalar path.
-        """
-        tokens = np.asarray(num_tokens, dtype=np.int64)
-        if tokens.size == 0:
-            return 0.0
-        contexts = np.asarray(context_lengths, dtype=np.int64)
-        latencies = self.block_latency_batch_ns(contexts)
-        per_chunk = tokens * (self._blocks_per_stage * latencies * 1e-9)
-        per_chunk = np.where(tokens > 0, per_chunk, 0.0)
-        return float(per_chunk.cumsum()[-1])
-
     # ------------------------------------------------------------------ iteration level
 
     @property

@@ -38,9 +38,9 @@ lifecycle (``kv.prefix_hit``, ``kv.cow``, ``kv.prefix_register``,
 ``kv.prefix_evict``) — stamped with the engine clock the owner mirrors
 into ``recorder.now_s``.  Per-step growth (:meth:`grow` /
 :meth:`grow_many`) is deliberately silent: those run once per decode token
-(and once per fast-forwarded window on the vectorized path), so recording
-them would both flood the trace and break the scalar/vectorized
-stream-equivalence contract.
+(and once per fast-forwarded window), so recording them would both flood
+the trace and break the stepped/fast-forward stream-equivalence
+contract.
 """
 
 from __future__ import annotations

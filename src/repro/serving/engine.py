@@ -207,8 +207,8 @@ class EngineState(EngineMeasurements):
     #: Every request ever fed to this state, in feed order
     #: (``requests[i].request_id == i``).
     requests: List[ServingRequest] = field(default_factory=list)
-    #: Struct-of-arrays store behind the requests' hot fields; the
-    #: vectorized advance paths gather and scatter whole batches here.
+    #: Struct-of-arrays store behind the requests' hot fields; ``advance``
+    #: gathers and scatters whole batches here.
     columns: RequestColumns = field(default_factory=RequestColumns)
     #: Times ``extend`` had to fall back to a full re-sort of ``pending``
     #: (out-of-order feed); stays zero for arrival-ordered segment feeds.
@@ -361,13 +361,14 @@ class ServingEngine:
         ``prefix_sharing=False`` run — is served bit-exactly as before;
         reserve mode ignores prefix tags entirely.
     vectorize:
-        ``True`` (default): price mixed batches with the cost model's
-        vectorized entry points and fast-forward uneventful all-decode
-        stretches in closed form.  ``False`` forces the scalar
-        per-request, per-iteration loop.  Both paths are bit-exact with
-        each other (the vectorized folds reproduce the scalar float
-        arithmetic operation for operation); the knob exists for A/B
-        speed measurement and as an escape hatch.
+        ``True`` (default): fast-forward uneventful all-decode stretches
+        in closed form (the event-horizon fast-forward).  ``False`` steps
+        every iteration one at a time instead; everything else (batch
+        building, pricing, admission) is the same code either way.  The
+        two are bit-exact with each other (the window's folds replay the
+        stepped float arithmetic operation for operation), so the engine
+        with fast-forward off is the fast-forward's oracle; the knob also
+        serves A/B speed measurement.
     """
 
     def __init__(
@@ -432,7 +433,7 @@ class ServingEngine:
         # redoing both, while mutating e.g. ``max_batch_size`` between runs
         # still takes effect.  FIFO-bounded like the block-cost cache below
         # it, so sweeps over many trace shapes cannot grow it forever.
-        self._setup_cache: Dict[tuple, Tuple[ParallelismPlan, IterationCostModel, int]] = {}
+        self._setup_cache: Dict[tuple, Tuple[ParallelismPlan, IterationCostModel, int, int]] = {}
         self._setup_cache_entries = 8
 
     # ------------------------------------------------------------------ planning
@@ -454,23 +455,12 @@ class ServingEngine:
         servable = totals[self._servable_mask(totals, kv_budget)]
         return int(servable.max()) if servable.size else self.model.max_context
 
-    def _is_servable(self, query: Query, kv_budget: int) -> bool:
-        """Whether admission could ever accept ``query`` under ``kv_budget``."""
-        if query.total_context > self.model.max_context:
-            return False
-        if kv_budget <= 0:
-            # Weights alone overflow; run() raises the precise error.
-            return True
-        if self.admission == "paged":
-            pool = self._make_pool(kv_budget)
-            return pool.blocks_for(query.total_context) <= pool.num_blocks
-        return self._kv_reservation_bytes(query.total_context) <= kv_budget
-
     def _servable_mask(self, total_contexts: np.ndarray, kv_budget: int) -> np.ndarray:
-        """Vectorized :meth:`_is_servable` over an array of total contexts.
+        """Whether admission could ever accept each of ``total_contexts``
+        under ``kv_budget``.
 
         One block pool (paged) or one reservation formula (reserve) prices
-        the whole batch, instead of a per-query pool construction.
+        the whole array, instead of a per-query pool construction.
         """
         mask = total_contexts <= self.model.max_context
         if kv_budget <= 0:
@@ -487,7 +477,8 @@ class ServingEngine:
         return mask & (reservations <= kv_budget)
 
     def _setup(self, trace: Sequence[Query]):
-        """Shared run/estimate setup: (plan, iteration cost model, slots).
+        """Shared run/estimate setup: (plan, iteration cost model, slots,
+        the servable context the plan was chosen and validated for).
 
         Cached per (servable context length, engine knobs), so ``run``
         after ``estimated_capacity_qps`` (or repeated runs in a sweep)
@@ -524,7 +515,7 @@ class ServingEngine:
         cost = IterationCostModel(
             self.system.performance, self.model, plan, context_step=self.context_step
         )
-        entry = (plan, cost, slots)
+        entry = (plan, cost, slots, context)
         evict_to_bound(self._setup_cache, self._setup_cache_entries)
         self._setup_cache[key] = entry
         return entry
@@ -639,7 +630,7 @@ class ServingEngine:
         """
         queries = list(trace)
         planning = list(planning_trace) if planning_trace is not None else queries
-        plan, cost, slots = self._setup(planning)
+        plan, cost, slots, planned_context = self._setup(planning)
         kv_budget = self._kv_budget_bytes(plan)
         weight_bytes = self.memory_capacity_bytes - kv_budget
         paged = self.admission == "paged"
@@ -675,7 +666,7 @@ class ServingEngine:
             kv_budget=kv_budget,
             weight_bytes=weight_bytes,
             paged=paged,
-            planned_context=self._planned_context(planning),
+            planned_context=planned_context,
             sla_latency_s=sla_latency_s,
             allocator=allocator,
             policy=policy,
@@ -694,12 +685,6 @@ class ServingEngine:
         self.extend(state, queries)
         return state
 
-    def _planned_context(self, planning: Sequence[Query]) -> int:
-        """The context length the state's plan was chosen and validated for."""
-        if self.plan is None:
-            return self._servable_context(planning)
-        return self._servable_context(planning, dp_replicas=self.plan.dp_replicas)
-
     def extend(
         self, state: EngineState, queries: Sequence[Query]
     ) -> List[ServingRequest]:
@@ -709,19 +694,22 @@ class ServingEngine:
         never serve are marked ``REJECTED`` exactly as at :meth:`begin`; a
         servable query longer than the state's planned context is a caller
         error (its cost would extrapolate past the validated plan), raised
-        rather than silently mispriced.
+        rather than silently mispriced — before the state changes at all.
         """
+        if not queries:
+            return []
+        servable = self._servable_mask(
+            np.fromiter((q.total_context for q in queries),
+                        dtype=np.int64, count=len(queries)),
+            state.kv_budget,
+        ).tolist()
+        for query, ok in zip(queries, servable, strict=True):
+            if ok:
+                self._check_planned(state, query)
         new = [ServingRequest(len(state.requests) + i, q, columns=state.columns)
                for i, q in enumerate(queries)]
         state.requests.extend(new)
-        if not new:
-            return new
-        servable = self._servable_mask(
-            np.fromiter((q.total_context for q in queries),
-                        dtype=np.int64, count=len(new)),
-            state.kv_budget,
-        )
-        batch = sorted(zip(new, servable.tolist(), strict=True),
+        batch = sorted(zip(new, servable, strict=True),
                        key=lambda pair: pair[0].arrival_time_s)
         accepted: List[ServingRequest] = []
         rec = state.recorder
@@ -737,12 +725,6 @@ class ServingEngine:
             if rec is not None:
                 rec.event("request.queued", request.arrival_time_s,
                           request.request_id, **request.trace_args())
-            if request.query.total_context > state.planned_context:
-                raise ValueError(
-                    f"query context {request.query.total_context} exceeds the "
-                    f"planned context {state.planned_context}; pass a "
-                    "planning_trace covering every query this state may serve"
-                )
             if not state.paged:
                 request.kv_reserved_bytes = \
                     self._kv_reservation_bytes(request.query.total_context)
@@ -762,6 +744,16 @@ class ServingEngine:
                     sorted(pending, key=lambda r: r.arrival_time_s))
                 state.pending_resorts += 1
         return new
+
+    @staticmethod
+    def _check_planned(state: EngineState, query: Query) -> None:
+        """Refuse a servable query longer than the state's planned context."""
+        if query.total_context > state.planned_context:
+            raise ValueError(
+                f"query context {query.total_context} exceeds the "
+                f"planned context {state.planned_context}; pass a "
+                "planning_trace covering every query this state may serve"
+            )
 
     def snapshot(self, state: EngineState) -> EngineRun:
         """The cumulative :class:`EngineRun` view of ``state`` so far."""
@@ -788,841 +780,760 @@ class ServingEngine:
         iterations are atomic), leaving a state that :meth:`extend` and a
         later ``advance`` continue seamlessly.  ``until_s=None`` drains the
         state completely and reproduces the unsegmented engine bit-exactly.
+
+        Each loop trip runs the phases in order, each a method over
+        ``state``: arrivals, resume/admit, build, fast-forward, then price
+        and apply one stepped iteration.
         """
-        plan, cost, slots = state.plan, state.cost, state.slots
-        kv_budget = state.kv_budget
-        weight_bytes = state.weight_bytes
-        paged = state.paged
-        allocator = state.allocator
-        policy = state.policy
-        pending = state.pending
-        waiting = state.waiting
-        preempted = state.preempted
-        running = state.running
-        bytes_per_token = state.bytes_per_token
-        kv_scale = state.kv_scale
-        # With tracing on the timeline resolves to the recorder's queue
-        # signal; either way the loop below appends to a plain list.
-        rec = state.recorder
-        queue_depth_timeline = state.queue_depth_timeline
-        evictions = state.evictions
-        clock = state.clock
-        cols = state.columns
-        vectorize = self.vectorize
-        prefill_chunk_tokens = self.prefill_chunk_tokens
-        interleave_prefill = self.interleave_prefill
-        prefix_sharing = self.prefix_sharing and paged
-        # Row indices of ``running`` in the columnar store, rebuilt lazily:
-        # every site that mutates ``running`` flips the dirty flag.
-        rows_cache: Optional[np.ndarray] = None
-        rows_dirty = True
-
-        # ------------------------------------------------ paged-mode helpers
-
-        def log_preemption(victim: ServingRequest, kind: str,
-                           **details) -> None:
-            """Record one eviction exactly once: a plain ``evictions`` entry
-            when tracing is off, a typed ``serving.preempt`` event (from
-            which ``preemption_log`` is derived) when it is on."""
-            if rec is None:
-                evictions.append((clock, victim.request_id))
-            else:
-                rec.event(
-                    "serving.preempt", clock, victim.request_id,
-                    kind=kind, **details)
-
-        def preempt(victim: ServingRequest) -> None:
-            """Evict ``victim``: free its blocks, set up its restore path."""
-            nonlocal rows_dirty
-            rows_dirty = True
-            if victim.restore_remaining > 0:
-                # Re-evicted mid-rebuild: the aborted rebuild was stall
-                # time, and the unexecuted tail of the earlier recompute
-                # charge never ran — refund it before re-charging below.
-                aborted_s = clock - victim.restore_started_s
-                victim.stall_s += aborted_s
-                if victim.first_token_time_s is None:
-                    victim.prefill_stall_s += aborted_s
-                victim.recompute_tokens -= victim.restore_remaining
-                victim.restore_remaining = 0
-                victim.restore_total = 0
-            tokens_with_kv = victim.kv_tokens
-            context = victim.context_length
-            # A shared-prefix reader keeps its chain pinned across the park
-            # (keep_prefix): its shared blocks never leave the device, so
-            # they neither travel on a swap nor rebuild on a recompute.
-            shared_tokens = (allocator.shared_tokens(victim.request_id)
-                             if prefix_sharing else 0)
-            allocator.release(victim.request_id, keep_prefix=True)
-            victim.kv_tokens = 0
-            victim.preempted_count += 1
-            victim.preempt_time_s = clock
-            victim.state = RequestState.PREEMPTED
-            victim.restore_ready_s = 0.0
-            victim.restore_via = policy.restore
-            if policy.restore == "swap":
-                # Only materialised KV travels; the prompt's still-unwritten
-                # tail of a prefilling victim does not, nor do the chain's
-                # device-resident shared blocks.
-                victim.resume_kv_tokens = tokens_with_kv
-                victim.swap_bytes = max(context - shared_tokens, 0) * bytes_per_token
-                out_s = kv_swap_time_s(victim.swap_bytes, self.system.config.link,
-                                       pp_stages=plan.pp_stages)
-                victim.num_swap_outs += 1
-                victim.swap_time_s += out_s
-                victim.swap_done_s = clock + out_s
-            elif victim.prefill_remaining > 0:
-                # Recompute a half-prefilled victim: rebuild the lost prefix
-                # through the restore path, then let the prompt's tail
-                # continue; the rebuild span counts as stall exactly like a
-                # decoding victim's.
-                prefix = victim.query.prompt_tokens - victim.prefill_remaining
-                rebuild = max(prefix - shared_tokens, 0)
-                victim.recompute_tokens += rebuild
-                victim.restore_remaining = rebuild
-                victim.restore_total = rebuild
-                victim.resume_kv_tokens = victim.query.prompt_tokens
-            else:
-                # Recompute a decoding victim by re-prefilling its context.
-                rebuild = max(context - shared_tokens, 0)
-                victim.recompute_tokens += rebuild
-                victim.restore_remaining = rebuild
-                victim.restore_total = rebuild
-                victim.resume_kv_tokens = context
-            running.remove(victim)
-            preempted.append(victim)
-            log_preemption(victim, "full", restore=policy.restore,
-                           kv_tokens=tokens_with_kv, context=context)
-
-        def stage_out(victim: ServingRequest, num_blocks: int, *,
-                      park: bool) -> None:
-            """Block-granular eviction: stage the victim's coldest prefix
-            blocks to host memory, keeping the rest device-resident.
-
-            ``park=True`` takes a runner out of the batch (its restore is a
-            small swap-in of just the staged blocks instead of
-            re-allocating — and re-transferring — the whole context).
-            ``park=False`` deepens the eviction of an *already parked*
-            victim when no runner is left to evict: the extra bite joins
-            the same parked episode — its restore grows by the staged
-            blocks and its stall clock keeps running from the original
-            eviction — instead of deadlocking the survivor's growth.
-            """
-            nonlocal rows_dirty
-            staged = allocator.evict_blocks(victim.request_id, num_blocks)
-            victim.swapped_kv_blocks += staged
-            victim.partial_evictions += 1
-            victim.preempted_count += 1
-            bytes_out = staged * allocator.pool.block_bytes
-            out_s = kv_swap_time_s(bytes_out, self.system.config.link,
-                                   pp_stages=plan.pp_stages)
-            victim.num_swap_outs += 1
-            victim.swap_time_s += out_s
-            if park:
-                victim.preempt_time_s = clock
-                victim.state = RequestState.PREEMPTED
-                victim.restore_ready_s = 0.0
-                victim.restore_via = "swap"
-                # The allocation survives: resume re-admits the staged
-                # blocks and the KV token count is unchanged.
-                victim.resume_kv_tokens = victim.kv_tokens
-                victim.swap_bytes = bytes_out
-                victim.swap_done_s = clock + out_s
-                running.remove(victim)
-                rows_dirty = True
-                preempted.append(victim)
-            else:
-                victim.swap_bytes += bytes_out
-                # The fresh transfer queues behind any still-draining one.
-                victim.swap_done_s = max(victim.swap_done_s, clock) + out_s
-            log_preemption(victim, "partial", staged_blocks=staged,
-                           park=park)
-
-        def resume(request: ServingRequest) -> None:
-            """Bring a preempted request back; blocks are already allocated."""
-            via = request.restore_via
-            request.kv_tokens = request.resume_kv_tokens
-            before_first = request.first_token_time_s is None
-            parked_s = clock - request.preempt_time_s
-            request.stall_s += parked_s
-            if before_first:
-                request.prefill_stall_s += parked_s
-            if request.restore_via == "swap":
-                in_s = kv_swap_time_s(request.swap_bytes, self.system.config.link,
-                                      pp_stages=plan.pp_stages)
-                request.num_swap_ins += 1
-                request.swap_time_s += in_s
-                # Swap-in serialises behind any still-draining swap-out.
-                request.restore_ready_s = max(clock, request.swap_done_s) + in_s
-                request.stall_s += request.restore_ready_s - clock
-                if before_first:
-                    request.prefill_stall_s += request.restore_ready_s - clock
-            request.restore_via = ""
-            request.migration_pending = False
-            if request.restore_remaining > 0:
-                # Recompute restore: the re-prefill ahead still keeps the
-                # request off decode, so its span counts as stall too
-                # (accrued when the rebuild completes).
-                request.restore_started_s = clock
-            rebuilding = request.prefill_remaining > 0 or request.restore_remaining > 0
-            request.state = RequestState.PREFILL if rebuilding else RequestState.DECODE
-            if rec is not None:
-                rec.event("request.resume", clock, request.request_id,
-                          via=via, ready_s=request.restore_ready_s,
-                          rebuild_tokens=request.restore_remaining)
-
-        def grow_or_preempt(candidates: List[ServingRequest]) -> List[ServingRequest]:
-            """Grow each decodable request's KV to its context, evicting on
-            pool exhaustion; returns the requests that may decode now."""
-            batch: List[ServingRequest] = []
-            for request in candidates:
-                if request.state is RequestState.PREEMPTED:
-                    continue  # evicted by an earlier candidate's growth
-                target = max(request.context_length, request.kv_tokens)
-                grown = allocator.grow(request.request_id, target)
-                partial = policy.partial_blocks
-                while not grown:
-                    victims = [r for r in running
-                               if r is not request and r.restore_ready_s <= clock]
-                    kind, victim = policy.select_eviction(
-                        victims,
-                        allocator.evictable_prefixes() if prefix_sharing else (),
-                        clock)
-                    if kind == "chain":
-                        # The coldest blocks pool-wide belong to an idle
-                        # (refcount-zero) shared prefix: reclaim it before
-                        # preempting any live request.
-                        allocator.evict_prefix(victim.key)
-                    elif victim is not None:
-                        # Block-granular swap: stage only the victim's
-                        # coldest prefix blocks when it holds more than
-                        # that; a victim at or below the partial size is
-                        # evicted whole.
-                        if (partial is not None
-                                and allocator.holds_resident_blocks(
-                                    victim.request_id) > partial):
-                            stage_out(victim, partial, park=True)
-                        else:
-                            preempt(victim)
-                        if victim in batch:
-                            batch.remove(victim)
-                    elif partial is not None:
-                        # No runner left to evict; free blocks from a
-                        # parked, still partially-resident victim instead
-                        # of deadlocking the survivor's growth.
-                        parked = [r for r in preempted
-                                  if allocator.holds_resident_blocks(
-                                      r.request_id) > 0]
-                        victim = policy.select_victim(parked, clock)
-                        if victim is None:
-                            break
-                        stage_out(victim, partial, park=False)
-                    else:
-                        break
-                    grown = allocator.grow(request.request_id, target)
-                if grown:
-                    request.kv_tokens = target
-                    batch.append(request)
-            return batch
-
-        def admit_head() -> bool:
-            """Allocate the waiting head's prompt blocks, prefix-aware.
-
-            A resident chain for the head's prefix hash admits it with only
-            the suffix's blocks and pre-completes the shared prefix's
-            prefill (at least one prompt token always remains, so the
-            first-token path is untouched); a miss allocates the full
-            prompt and marks the request to promote its prefix blocks into
-            a chain once its prefill completes.
-            """
-            head = waiting[0]
-            query = head.query
-            key = query.prefix_key if prefix_sharing else None
-            if key is None:
-                return allocator.allocate(head.request_id, query.prompt_tokens)
-            if not allocator.allocate(head.request_id, query.prompt_tokens,
-                                      prefix=key, now_s=clock):
-                return False
-            head.prefix_lookups += 1
-            if allocator.shared_key(head.request_id) is not None:
-                head.prefix_hits += 1
-                skip = min(query.prefix_tokens, query.prompt_tokens - 1)
-                head.prefix_hit_tokens += skip
-                head.prefill_remaining -= skip
-                if query.prefix_tokens % allocator.pool.block_tokens:
-                    head.cow_blocks += 1
-            else:
-                head.prefix_pending = True
-            return True
-
-        # ------------------------------------------------------- event loop
-
-        reserved_bytes = state.reserved_bytes
-        peak_memory = state.peak_memory
-        prefill_time_s = state.prefill_time_s
-        decode_time_s = state.decode_time_s
-        decode_step_tokens = state.decode_step_tokens
-
-        while pending or waiting or preempted or running:
-            if until_s is not None and clock >= until_s:
+        while not state.drained:
+            if until_s is not None and state.clock >= until_s:
                 break
-            while pending and pending[0].arrival_time_s <= clock:
-                waiting.append(pending.popleft())
-
-            if rec is not None:
-                # Passive emitters (the KV allocator) stamp their events
-                # with the engine clock; refresh it once per loop top.
-                rec.now_s = clock
-
-            n_running_top = len(running)
-            if paged:
-                # Preempted requests resume first (eviction-order-first) so
-                # fresh admissions cannot starve a victim's restore.  A
-                # partially-resident victim re-admits just its staged
-                # blocks; everyone else re-allocates from scratch.  Both
-                # grants are all-or-nothing, so a failed resume under
-                # pressure leaves no partially-granted blocks behind — and
-                # an unresumable head is skipped, not waited on: a parked
-                # victim's residency (or a large migrated-in allocation)
-                # must never wedge the queue while a smaller one fits.
-                index = 0
-                while index < len(preempted) and len(running) < slots:
-                    request = preempted[index]
-                    if request.swapped_kv_blocks:
-                        resumable = allocator.readmit(request.request_id)
-                    else:
-                        resumable = allocator.allocate(
-                            request.request_id, request.resume_kv_tokens,
-                            now_s=clock)
-                    if not resumable:
-                        index += 1
-                        continue
-                    request.swapped_kv_blocks = 0
-                    del preempted[index]
-                    resume(request)
-                    running.append(request)
-                # Paged admission: blocks for the *current* need (the
-                # prompt), not the full future context — and only the
-                # suffix's share of it on a prefix-cache hit.
-                while (not preempted and waiting and len(running) < slots
-                       and admit_head()):
-                    request = waiting.popleft()
-                    request.kv_tokens = request.query.prompt_tokens
-                    request.state = RequestState.PREFILL
-                    request.admitted_time_s = clock
-                    if rec is not None:
-                        rec.event("request.admitted", clock,
-                                  request.request_id,
-                                  kv_tokens=request.kv_tokens)
-                    running.append(request)
-                peak_memory = max(
-                    peak_memory,
-                    weight_bytes + int(allocator.allocated_bytes * kv_scale))
-            else:
-                # Migrated-in requests resume first, re-booking their
-                # full-context reservation (migration is the only way a
-                # request reaches the preempted queue in reserve mode).
-                # As in the paged loop above, an unfit head is skipped so a
-                # large migrated allocation cannot wedge the queue while a
-                # smaller one fits.
-                index = 0
-                while index < len(preempted) and len(running) < slots:
-                    request = preempted[index]
-                    if reserved_bytes + request.kv_reserved_bytes > kv_budget:
-                        index += 1
-                        continue
-                    del preempted[index]
-                    resume(request)
-                    reserved_bytes += request.kv_reserved_bytes
-                    running.append(request)
-                # FCFS admission while a slot and the KV budget allow.
-                while (not preempted and waiting and len(running) < slots
-                       and reserved_bytes + waiting[0].kv_reserved_bytes <= kv_budget):
-                    request = waiting.popleft()
-                    request.state = RequestState.PREFILL
-                    request.admitted_time_s = clock
-                    reserved_bytes += request.kv_reserved_bytes
-                    if rec is not None:
-                        rec.event("request.admitted", clock,
-                                  request.request_id,
-                                  kv_reserved_bytes=request.kv_reserved_bytes)
-                    running.append(request)
-                peak_memory = max(peak_memory, weight_bytes + reserved_bytes)
-            if len(running) != n_running_top:
-                # Admission only appends, so a length change is the exact
-                # signal that the cached row gather went stale.
-                rows_dirty = True
-
-            sample = (clock, len(waiting) + len(preempted), len(running))
-            # An unsegmented run never repeats a sample (the clock strictly
-            # advances between loop tops); resuming a segment would, so the
-            # guard keeps segmented timelines identical to unsegmented ones.
-            if not queue_depth_timeline or queue_depth_timeline[-1] != sample:
-                queue_depth_timeline.append(sample)
-
+            self._take_arrivals(state)
+            self._resume_and_admit(state)
+            self._sample_queue(state)
+            running = state.running
             if not running:
-                if not pending:
-                    # Nothing running, nothing arriving, and the queued
-                    # backlog could not be (re)admitted this instant.
-                    # Mid-segment the next extend may unblock it; with the
-                    # input drained it never will.
-                    if until_s is not None:
-                        break
-                    raise RuntimeError(
-                        "serving engine stalled with queued requests but no "
-                        "admissible work; this is a bug"
-                    )
                 # Idle: jump to the next arrival (or stop at the segment
                 # bound; a later extend may add earlier work).
-                if until_s is not None and pending[0].arrival_time_s >= until_s:
-                    break
-                clock = max(clock, pending[0].arrival_time_s)
-                continue
-
-            # ---------------------------------------------- build one iteration
-            # Default (prefill-priority, vLLM's stock scheduler): an
-            # iteration runs either a bounded chunk of prefill work or one
-            # decode step for the whole running batch; decode stalls until
-            # the prefill backlog drains, and the stall surfaces in the
-            # measured time-between-tokens.  The static special case
-            # (everything prefilled, then lockstep decoding) thereby
-            # reproduces the closed-form batch decode throughput.  With
-            # ``interleave_prefill`` (chunked-prefill mode) the iteration
-            # runs the prefill chunk *and* the decode step together, so the
-            # stall is bounded by the chunk at the price of stretching the
-            # co-scheduled decode iteration.  Recompute restores share the
-            # prefill chunk budget: rebuilding a victim's KV is prompt work.
-            prefill_work: List[tuple] = []
-            all_decode_ready = False
-            rows: Optional[np.ndarray] = None
-            if vectorize:
-                # One gather per column replaces the per-request property
-                # walk of the scalar construction below; the resulting
-                # prefill_work/decode_batch lists are identical.
-                if rows_dirty:
-                    rows_cache = np.fromiter((r._row for r in running),
-                                             dtype=np.intp,
-                                             count=len(running))
-                    rows_dirty = False
-                rows = rows_cache
-                pre = cols.prefill_remaining[rows]
-                res = cols.restore_remaining[rows]
-                ready = cols.restore_ready_s[rows] <= clock
-                decode_ready = ready & (pre == 0) & (res == 0)
-                all_decode_ready = bool(decode_ready.all())
-                if all_decode_ready:
-                    decode_batch = list(running)
-                else:
-                    needy = np.flatnonzero(ready & ((pre > 0) | (res > 0)))
-                    chunk_budget = prefill_chunk_tokens
-                    if needy.size:
-                        pre_list = pre.tolist()
-                        res_list = res.tolist()
-                        for index in needy.tolist():
-                            if chunk_budget <= 0:
-                                break
-                            remaining = (res_list[index]
-                                         if res_list[index] > 0
-                                         else pre_list[index])
-                            tokens = min(remaining, chunk_budget)
-                            prefill_work.append((running[index], tokens))
-                            chunk_budget -= tokens
-                    if prefill_work and not interleave_prefill:
-                        decode_batch = []
-                    else:
-                        decode_batch = [
-                            running[i]
-                            for i in np.flatnonzero(decode_ready).tolist()
-                        ]
-            else:
-                chunk_budget = prefill_chunk_tokens
-                for request in running:
-                    if chunk_budget <= 0:
-                        break
-                    if request.restore_ready_s > clock:
-                        continue  # swap-in still in flight
-                    # A rebuild (lost prefix or whole context) streams before
-                    # any still-pending prompt tail.
-                    remaining = (request.restore_remaining
-                                 if request.restore_remaining > 0
-                                 else request.prefill_remaining)
-                    if remaining <= 0:
-                        continue
-                    tokens = min(remaining, chunk_budget)
-                    prefill_work.append((request, tokens))
-                    chunk_budget -= tokens
-                if prefill_work and not interleave_prefill:
-                    decode_batch: List[ServingRequest] = []
-                else:
-                    decode_batch = [r for r in running
-                                    if r.prefill_remaining == 0
-                                    and r.restore_remaining == 0
-                                    and r.restore_ready_s <= clock]
-
-            # ------------------------------------- event-horizon fast-forward
-            # When every running request is decode-ready the engine is in
-            # its dominant large-trace regime: iterations that do nothing
-            # but grow each context by one token.  Advance as many of them
-            # as provably hold no event — a completion, a block exhaustion,
-            # an admission-changing arrival, or the segment bound — in one
-            # closed-form step whose float arithmetic replays the scalar
-            # loop operation for operation (see decode_span_s).
-            if all_decode_ready:
-                gen = cols.tokens_generated[rows]
-                ctx0 = cols.prompt_tokens[rows] + gen
-                remaining_tokens = cols.decode_tokens[rows] - gen
-                # No request may complete mid-window (its slot would free),
-                # so the first completion bounds it; the span-matrix cap
-                # only splits a longer window, which prices identically.
-                horizon = int(remaining_tokens.min())
-                k = min(horizon, 4096)
-                kv0 = held = None
-                if paged:
-                    kv0 = cols.kv_tokens[rows]
-                    block_tokens = allocator.pool.block_tokens
-                    held = -(-kv0 // block_tokens)
-                    free_blocks = allocator.pool.free_blocks
-
-                    def block_demand(steps: int) -> int:
-                        """Blocks the whole batch must acquire to decode
-                        ``steps`` iterations (growth targets are monotone,
-                        so only the final target matters)."""
-                        target = np.maximum(ctx0 + (steps - 1), kv0)
-                        need = -(-target // block_tokens) - held
-                        return int(np.maximum(need, 0).sum())
-
-                    if block_demand(k) > free_blocks:
-                        # Largest step count the free pool still covers;
-                        # zero sends this iteration to the scalar path,
-                        # whose growth loop evicts a victim.
-                        low = 1 if block_demand(1) <= free_blocks else 0
-                        high = k
-                        while low and high - low > 1:
-                            mid = (low + high) // 2
-                            if block_demand(mid) <= free_blocks:
-                                low = mid
-                            else:
-                                high = mid
-                        k = low
-                if k > 0:
-                    # An iteration runs only while its loop-top clock stays
-                    # under the segment bound — and under the next arrival
-                    # when admission could accept it.  With a full batch, a
-                    # non-empty waiting/preempted queue, or (FCFS) a blocked
-                    # head, admission stays blocked for the whole window
-                    # (reservations are constant and free blocks only
-                    # shrink), so arrivals merely cross into the backlog.
-                    bound = until_s
-                    admission_open = (len(running) < slots
-                                      and not waiting and not preempted)
-                    if admission_open and pending:
-                        arrival = pending[0].arrival_time_s
-                        bound = (arrival if bound is None
-                                 else min(bound, arrival))
-                    if bound is not None and k > 1:
-                        # Estimate how many iterations fit under the bound
-                        # from the first iteration's span and shrink the
-                        # span matrix before pricing it; an off estimate
-                        # merely splits the window across loop trips, which
-                        # prices identically (the fold resumes from the
-                        # same float clock).
-                        span0 = float(cost.decode_span_s(ctx0, 1)[0])
-                        if span0 > 0.0:
-                            k_cap = int((bound - clock) / span0) + 2
-                            if k_cap < k:
-                                k = max(k_cap, 1)
-                    span = cost.decode_span_s(ctx0, k)
-                    # clocks[j] is the clock after j window iterations; the
-                    # fold seeds the running clock so each entry equals the
-                    # scalar loop's sequence of += operations exactly.
-                    clocks = np.empty(k + 1)
-                    clocks[0] = clock
-                    clocks[1:] = span
-                    clocks = clocks.cumsum()
-                    k_eff = k
-                    if bound is not None:
-                        k_eff = min(k_eff, int(np.searchsorted(
-                            clocks[:k], bound, side="left")))
-                else:
-                    k_eff = 0
-                if k_eff > 0:
-                    clock_end = float(clocks[k_eff])
-                    if paged:
-                        targets = np.maximum(ctx0 + (k_eff - 1), kv0)
-                        needs = -(-targets // block_tokens) - held
-                        if not allocator.grow_many(
-                                [r.request_id for r in running],
-                                targets.tolist(), needs.tolist()):
-                            raise RuntimeError(
-                                "fast-forward window overdrew the block "
-                                "pool; this is a bug")
-                        cols.kv_tokens[rows] = targets
-                        peak_memory = max(
-                            peak_memory,
-                            weight_bytes
-                            + int(allocator.allocated_bytes * kv_scale))
-                    if k_eff > 1:
-                        # Queue-depth samples of the in-window loop tops;
-                        # crossed arrivals count as queued exactly as the
-                        # scalar tops would have counted them (they join
-                        # ``waiting`` at the next real loop top).
-                        last_top = clocks[k_eff - 1]
-                        crossed: List[float] = []
-                        for request in pending:
-                            if request.arrival_time_s <= last_top:
-                                crossed.append(request.arrival_time_s)
-                            else:
-                                break
-                        queued_base = len(waiting) + len(preempted)
-                        n_running = len(running)
-                        tops = clocks[1:k_eff]
-                        if crossed:
-                            queued = (queued_base + np.searchsorted(
-                                np.asarray(crossed), tops,
-                                side="right")).tolist()
-                        else:
-                            queued = [queued_base] * (k_eff - 1)
-                        if float(span[:k_eff - 1].min()) > 0.0:
-                            # Strictly increasing tops: no two consecutive
-                            # samples can repeat, and the first differs
-                            # from the pre-window sample by its later
-                            # clock, so the dedup guard cannot fire —
-                            # extend at C speed.
-                            queue_depth_timeline.extend(
-                                zip(tops.tolist(), queued,
-                                    repeat(n_running), strict=False))
-                        else:  # zero-span iteration: keep the exact guard
-                            for index, top in enumerate(tops.tolist()):
-                                sample = (top, queued[index], n_running)
-                                if (not queue_depth_timeline
-                                        or queue_depth_timeline[-1] != sample):
-                                    queue_depth_timeline.append(sample)
-                    # Every request's first in-window gap runs from its own
-                    # last token; the later gaps are the shared clock deltas.
-                    first_gap = (clocks[1]
-                                 - cols.last_token_time_s[rows]).tolist()
-                    shared_tail = (clocks[2:k_eff + 1]
-                                   - clocks[1:k_eff]).tolist()
-                    for request, gap in zip(running, first_gap, strict=True):
-                        samples = request.tbt_samples_s
-                        samples.append(gap)
-                        samples.extend(shared_tail)
-                    cols.tokens_generated[rows] = gen + k_eff
-                    cols.last_token_time_s[rows] = clock_end
-                    decode_fold = np.empty(k_eff + 1)
-                    decode_fold[0] = decode_time_s
-                    decode_fold[1:] = span[:k_eff]
-                    decode_time_s = float(decode_fold.cumsum()[-1])
-                    decode_step_tokens += len(running) * k_eff
-                    if rec is not None:
-                        # One span for the whole window, never per-token
-                        # events: the scalar loop merges the identical
-                        # iterations one step at a time into the same span.
-                        rec.window_step(
-                            "decode",
-                            (tuple(r.request_id for r in running), ()),
-                            clock, clock_end, k_eff, 0)
-                        rec.now_s = clock_end
-                    clock = clock_end
-                    if k_eff == horizon:
-                        done_list = (remaining_tokens == k_eff).tolist()
-                        for index, request in enumerate(running):
-                            if not done_list[index]:
-                                continue
-                            request.state = RequestState.FINISHED
-                            request.finish_time_s = clock
-                            if rec is not None:
-                                rec.event("request.finished", clock,
-                                          request.request_id,
-                                          tokens=request.tokens_generated)
-                            if paged:
-                                allocator.release(request.request_id,
-                                                  now_s=clock)
-                                request.kv_tokens = 0
-                            else:
-                                reserved_bytes -= request.kv_reserved_bytes
-                        running[:] = [r for i, r in enumerate(running)
-                                      if not done_list[i]]
-                        rows_dirty = True
+                pending = state.pending
+                wake = [pending[0].arrival_time_s] if pending else []
+                if self._idle_until(state, wake, until_s,
+                                    "queued requests but no admissible work"):
                     continue
-                # k == 0: the very next decode step needs an eviction; let
-                # the scalar growth loop below handle it.
-
-            if paged and decode_batch:
-                decode_batch = grow_or_preempt(decode_batch)
-                peak_memory = max(
-                    peak_memory,
-                    weight_bytes + int(allocator.allocated_bytes * kv_scale))
+                break
+            rows = np.fromiter((r._row for r in running), dtype=np.intp,
+                               count=len(running))
+            prefill_work, decode_batch = self._build_iteration(state, rows)
+            # A decode batch of the whole running set means every request is
+            # decode-ready: the fast-forward's precondition.
+            if (self.vectorize and len(decode_batch) == len(running)
+                    and self._fast_forward(state, rows, until_s)):
+                continue
+            if state.paged and decode_batch:
+                decode_batch = self._grow_or_preempt(state, decode_batch)
                 # A growth-triggered eviction may have hit a co-scheduled
                 # prefilling request (chunked-prefill mode): its chunk no
                 # longer runs this iteration.
                 prefill_work = [(r, t) for r, t in prefill_work
                                 if r.state is not RequestState.PREEMPTED]
-
             if not prefill_work and not decode_batch:
                 # Everyone runnable is waiting on a swap-in; jump to the
                 # first restore completion (or the next arrival, whichever
                 # is sooner) instead of spinning.
-                horizon = [r.restore_ready_s for r in running
-                           if r.restore_ready_s > clock]
-                if pending:
-                    horizon.append(pending[0].arrival_time_s)
-                if not horizon:
-                    if until_s is not None:
-                        # Mid-segment this is not a stall: the next segment's
-                        # extend may bring the arrival that unblocks us.
-                        break
-                    raise RuntimeError(
-                        "serving engine stalled with running requests but no "
-                        "schedulable work; this is a bug"
-                    )
-                if until_s is not None and min(horizon) >= until_s:
-                    break
-                clock = min(horizon)
-                continue
-
-            chunk_sizes: List[int] = []
-            chunk_midpoints: List[int] = []
-            for request, tokens in prefill_work:
-                if request.restore_remaining > 0:
-                    done = request.restore_total - request.restore_remaining
-                else:
-                    done = request.query.prompt_tokens - request.prefill_remaining
-                chunk_sizes.append(tokens)
-                chunk_midpoints.append(max(done + tokens // 2, 1))
-            # The batch entry points replay the scalar folds bit for bit;
-            # below a handful of items the scalar loop is simply faster.
-            if vectorize and len(prefill_work) >= 8:
-                prefill_s = cost.prefill_chunk_batch_s(
-                    np.asarray(chunk_sizes, dtype=np.int64),
-                    np.asarray(chunk_midpoints, dtype=np.int64))
-            else:
-                prefill_s = 0.0
-                for tokens, midpoint in zip(chunk_sizes, chunk_midpoints, strict=True):
-                    prefill_s += cost.prefill_chunk_s(tokens, midpoint)
-            batch_rows: Optional[np.ndarray] = None
-            if vectorize and len(decode_batch) >= 8:
-                batch_rows = np.fromiter((r._row for r in decode_batch),
-                                         dtype=np.intp,
-                                         count=len(decode_batch))
-                decode_s = cost.decode_iteration_batch_s(
-                    cols.prompt_tokens[batch_rows]
-                    - cols.prefill_remaining[batch_rows]
-                    + cols.tokens_generated[batch_rows])
-            else:
-                decode_s = cost.decode_iteration_s(
-                    [r.context_length for r in decode_batch]
-                )
-            iteration_start_s = clock
-            clock += prefill_s + decode_s
-            prefill_time_s += prefill_s
-            if decode_batch:
-                decode_time_s += decode_s
-                decode_step_tokens += len(decode_batch)
-            if rec is not None:
-                decode_ids = tuple(r.request_id for r in decode_batch)
-                prefill_ids = tuple(r.request_id for r, _ in prefill_work)
-                kind = ("mixed" if decode_ids and prefill_ids
-                        else "decode" if decode_ids else "prefill")
-                rec.window_step(kind, (decode_ids, prefill_ids),
-                                iteration_start_s, clock, 1,
-                                sum(chunk_sizes) if prefill_ids else 0)
-                rec.now_s = clock
-
-            # ---------------------------------------------- apply the iteration
-            prefill_completed: List[ServingRequest] = []
-            for request, tokens in prefill_work:
-                if request.restore_remaining > 0:
-                    # KV rebuilt, nothing emitted: the request already owns
-                    # its generated tokens and rejoins decode next iteration.
-                    request.restore_remaining -= tokens
-                    if request.restore_remaining == 0:
-                        if request.prefill_remaining == 0:
-                            request.state = RequestState.DECODE
-                        # Eviction-to-rebuilt: the rebuild span joins the
-                        # off-device time already accrued at resume (a
-                        # prefill victim's prompt tail then continues as
-                        # ordinary, non-stall prefill work).
-                        rebuild_s = clock - request.restore_started_s
-                        request.stall_s += rebuild_s
-                        if request.first_token_time_s is None:
-                            request.prefill_stall_s += rebuild_s
+                wake = [r.restore_ready_s for r in running
+                        if r.restore_ready_s > state.clock]
+                if state.pending:
+                    wake.append(state.pending[0].arrival_time_s)
+                if self._idle_until(state, wake, until_s,
+                                    "running requests but no schedulable work"):
                     continue
-                request.prefill_remaining -= tokens
-                if request.prefill_remaining == 0:
-                    # The chunk completing the prefill emits the first token.
-                    request.state = RequestState.DECODE
-                    request.first_token_time_s = clock
-                    request.last_token_time_s = clock
-                    request.tokens_generated = 1
-                    if rec is not None:
-                        rec.event("request.first_token", clock,
-                                  request.request_id)
-                    if request.prefix_pending:
-                        # Cache-miss promotion: the prefix KV this request
-                        # just prefilled becomes the shared chain later
-                        # arrivals attach to (best-effort — skipped when
-                        # another request won the race or the pool cannot
-                        # spare the tail snapshot block).
-                        request.prefix_pending = False
-                        allocator.register_prefix(
-                            request.query.prefix_key,
-                            request.query.prefix_tokens,
-                            request.request_id, now_s=clock)
-                    prefill_completed.append(request)
-            if batch_rows is not None:
-                cols.tokens_generated[batch_rows] += 1
-                # Time between tokens, including any prefill stalls since
-                # each request's previous token.
-                gaps = (clock - cols.last_token_time_s[batch_rows]).tolist()
-                for request, gap in zip(decode_batch, gaps, strict=True):
-                    request.tbt_samples_s.append(gap)
-                cols.last_token_time_s[batch_rows] = clock
-            else:
-                for request in decode_batch:
-                    request.tokens_generated += 1
-                    # Time between tokens, including any prefill stalls since
-                    # this request's previous token.
-                    request.tbt_samples_s.append(clock - request.last_token_time_s)
-                    request.last_token_time_s = clock
-
-            # Only a request whose token count changed this iteration can
-            # newly satisfy the finish condition, so the decode batch plus
-            # the just-completed prefills cover every candidate.
-            if batch_rows is not None:
-                finished = [decode_batch[i] for i in np.flatnonzero(
-                    cols.tokens_generated[batch_rows]
-                    >= cols.decode_tokens[batch_rows]).tolist()]
-            else:
-                finished = [r for r in decode_batch
-                            if r.tokens_generated >= r.query.decode_tokens]
-            for request in prefill_completed:
-                if request.tokens_generated >= request.query.decode_tokens:
-                    finished.append(request)
-            for request in finished:
-                request.state = RequestState.FINISHED
-                request.finish_time_s = clock
-                if rec is not None:
-                    rec.event("request.finished", clock, request.request_id,
-                              tokens=request.tokens_generated)
-                if paged:
-                    allocator.release(request.request_id, now_s=clock)
-                    request.kv_tokens = 0
-                else:
-                    reserved_bytes -= request.kv_reserved_bytes
-            if finished:
-                # In place: the state (and the helper closures) share this list.
-                running[:] = [r for r in running
-                              if r.state is not RequestState.FINISHED]
-                rows_dirty = True
-
-        state.clock = clock
-        state.reserved_bytes = reserved_bytes
-        state.peak_memory = peak_memory
-        state.prefill_time_s = prefill_time_s
-        state.decode_time_s = decode_time_s
-        state.decode_step_tokens = decode_step_tokens
+                break
+            self._step(state, prefill_work, decode_batch)
         return self.snapshot(state)
+
+    # ------------------------------------------------------- loop phases
+
+    @staticmethod
+    def _take_arrivals(state: EngineState) -> None:
+        """Move every request that has arrived by the clock to ``waiting``."""
+        pending, clock = state.pending, state.clock
+        while pending and pending[0].arrival_time_s <= clock:
+            state.waiting.append(pending.popleft())
+        if state.recorder is not None:
+            # Passive emitters (the KV allocator) stamp their events with
+            # the engine clock; refresh it once per loop top.
+            state.recorder.now_s = clock
+
+    def _resume_and_admit(self, state: EngineState) -> None:
+        """Resume preempted requests, then admit waiting ones FCFS.
+
+        Preempted requests resume first (eviction order first) so fresh
+        admissions cannot starve a victim's restore, and admission waits
+        while any remain.  An unresumable head is skipped, not waited on: a
+        parked victim's residency (or a large migrated-in allocation) must
+        never wedge the queue while a smaller one fits.  The admission
+        modes differ only in what they book; see :meth:`_book_resume` and
+        :meth:`_book_admission`.
+        """
+        preempted, waiting, running = state.preempted, state.waiting, state.running
+        slots, clock, rec = state.slots, state.clock, state.recorder
+        index = 0
+        while index < len(preempted) and len(running) < slots:
+            request = preempted[index]
+            if not self._book_resume(state, request):
+                index += 1
+                continue
+            del preempted[index]
+            self._resume(state, request)
+            running.append(request)
+        while (not preempted and waiting and len(running) < slots
+               and self._book_admission(state, waiting[0])):
+            request = waiting.popleft()
+            request.state = RequestState.PREFILL
+            request.admitted_time_s = clock
+            if rec is not None:
+                booked = ({"kv_tokens": request.kv_tokens} if state.paged else
+                          {"kv_reserved_bytes": request.kv_reserved_bytes})
+                rec.event("request.admitted", clock, request.request_id,
+                          **booked)
+            running.append(request)
+        self._track_peak(state)
+
+    @staticmethod
+    def _reserve(state: EngineState, request: ServingRequest) -> bool:
+        """Book ``request``'s full-context reservation if the budget allows."""
+        if state.reserved_bytes + request.kv_reserved_bytes > state.kv_budget:
+            return False
+        state.reserved_bytes += request.kv_reserved_bytes
+        return True
+
+    def _book_resume(self, state: EngineState, request: ServingRequest) -> bool:
+        """Re-book a preempted request's KV, all or nothing.
+
+        Reserve mode (reached only by live migration) re-books the
+        full-context reservation.  Paged mode re-admits just the staged
+        blocks of a partially-resident victim and re-allocates everyone
+        else from scratch; a failed grant leaves no blocks behind.
+        """
+        if not state.paged:
+            return self._reserve(state, request)
+        allocator = state.allocator
+        if request.swapped_kv_blocks:
+            booked = allocator.readmit(request.request_id)
+        else:
+            booked = allocator.allocate(request.request_id,
+                                        request.resume_kv_tokens,
+                                        now_s=state.clock)
+        if booked:
+            request.swapped_kv_blocks = 0
+        return booked
+
+    def _book_admission(self, state: EngineState, head: ServingRequest) -> bool:
+        """Book the waiting head's KV: its full-context reservation, or
+        (paged) blocks for its *current* need, the prompt.
+
+        A resident prefix chain for the head's prefix hash admits it with
+        only the suffix's blocks and pre-completes the shared prefix's
+        prefill (at least one prompt token always remains, so the
+        first-token path is untouched); a miss allocates the full prompt
+        and marks the request to promote its prefix blocks into a chain
+        once its prefill completes.
+        """
+        if not state.paged:
+            return self._reserve(state, head)
+        allocator = state.allocator
+        query = head.query
+        key = query.prefix_key if self.prefix_sharing else None
+        if not allocator.allocate(head.request_id, query.prompt_tokens,
+                                  prefix=key, now_s=state.clock):
+            return False
+        head.kv_tokens = query.prompt_tokens
+        if key is None:
+            return True
+        head.prefix_lookups += 1
+        if allocator.shared_key(head.request_id) is not None:
+            head.prefix_hits += 1
+            skip = min(query.prefix_tokens, query.prompt_tokens - 1)
+            head.prefix_hit_tokens += skip
+            head.prefill_remaining -= skip
+            if query.prefix_tokens % allocator.pool.block_tokens:
+                head.cow_blocks += 1
+        else:
+            head.prefix_pending = True
+        return True
+
+    @staticmethod
+    def _track_peak(state: EngineState) -> None:
+        """Fold the resident weights-plus-KV footprint into ``peak_memory``."""
+        if state.paged:
+            in_use = int(state.allocator.allocated_bytes * state.kv_scale)
+        else:
+            in_use = state.reserved_bytes
+        state.peak_memory = max(state.peak_memory, state.weight_bytes + in_use)
+
+    @staticmethod
+    def _sample_queue(state: EngineState) -> None:
+        """Record the loop top's ``(time, queued, running)`` sample."""
+        timeline = state.queue_depth_timeline
+        sample = (state.clock, len(state.waiting) + len(state.preempted),
+                  len(state.running))
+        # An unsegmented run never repeats a sample (the clock strictly
+        # advances between loop tops); resuming a segment would, so the
+        # guard keeps segmented timelines identical to unsegmented ones.
+        if not timeline or timeline[-1] != sample:
+            timeline.append(sample)
+
+    @staticmethod
+    def _idle_until(state: EngineState, wake_s: List[float],
+                    until_s: Optional[float], stalled: str) -> bool:
+        """Jump an idle clock to the earliest of ``wake_s``.
+
+        Returns False when the loop must stop instead: the wake-up lies at
+        or past the segment bound, or there is none mid-segment (the next
+        :meth:`extend` may bring the arrival that unblocks the state).  With
+        the input drained and nothing to wake for, the engine is wedged.
+        """
+        if not wake_s:
+            if until_s is not None:
+                return False
+            raise RuntimeError(
+                f"serving engine stalled with {stalled}; this is a bug")
+        wake = min(wake_s)
+        if until_s is not None and wake >= until_s:
+            return False
+        state.clock = max(state.clock, wake)
+        return True
+
+    def _build_iteration(self, state: EngineState, rows: np.ndarray
+                         ) -> Tuple[List[tuple], List[ServingRequest]]:
+        """The iteration's ``(request, tokens)`` prefill chunks and decode
+        batch, gathered from the running requests' column ``rows``.
+
+        Default (prefill-priority, vLLM's stock scheduler): an iteration
+        runs either a bounded chunk of prefill work or one decode step for
+        the whole running batch; decode stalls until the prefill backlog
+        drains, and the stall surfaces in the measured time-between-tokens.
+        The static special case (everything prefilled, then lockstep
+        decoding) thereby reproduces the closed-form batch decode
+        throughput.  With ``interleave_prefill`` (chunked-prefill mode) the
+        iteration runs the prefill chunk *and* the decode step together, so
+        the stall is bounded by the chunk at the price of stretching the
+        co-scheduled decode iteration.  Recompute restores share the
+        prefill chunk budget: rebuilding a victim's KV is prompt work, and
+        a rebuild streams before any still-pending prompt tail.  A request
+        whose swap-in is still in flight does neither.
+        """
+        running, cols = state.running, state.columns
+        pre = cols.prefill_remaining[rows]
+        res = cols.restore_remaining[rows]
+        ready = cols.restore_ready_s[rows] <= state.clock
+        decode_ready = ready & (pre == 0) & (res == 0)
+        if decode_ready.all():
+            return [], list(running)
+        prefill_work: List[tuple] = []
+        needy = np.flatnonzero(ready & ((pre > 0) | (res > 0))).tolist()
+        if needy:
+            budget = self.prefill_chunk_tokens
+            pre_list, res_list = pre.tolist(), res.tolist()
+            for index in needy:
+                if budget <= 0:
+                    break
+                remaining = (res_list[index] if res_list[index] > 0
+                             else pre_list[index])
+                tokens = min(remaining, budget)
+                prefill_work.append((running[index], tokens))
+                budget -= tokens
+        if prefill_work and not self.interleave_prefill:
+            return prefill_work, []
+        return prefill_work, [running[i]
+                              for i in np.flatnonzero(decode_ready).tolist()]
+
+    def _fast_forward(self, state: EngineState, rows: np.ndarray,
+                      until_s: Optional[float]) -> bool:
+        """Event-horizon fast-forward of an all-decode batch.
+
+        When every running request is decode-ready the engine is in its
+        dominant large-trace regime: iterations that do nothing but grow
+        each context by one token.  Advance as many of them as provably
+        hold no event — a completion, a block exhaustion, an
+        admission-changing arrival, or the segment bound — in one
+        closed-form step whose float arithmetic replays the stepped loop
+        operation for operation (see ``decode_span_s``).  Returns False,
+        changing nothing, when not even the next iteration qualifies (its
+        growth needs an eviction); the stepped iteration then runs it.
+        """
+        cols, cost, running, clock = state.columns, state.cost, state.running, state.clock
+        gen = cols.tokens_generated[rows]
+        ctx0 = cols.prompt_tokens[rows] + gen
+        remaining_tokens = cols.decode_tokens[rows] - gen
+        # No request may complete mid-window (its slot would free), so the
+        # first completion bounds it; the span-matrix cap only splits a
+        # longer window, which prices identically.
+        horizon = int(remaining_tokens.min())
+        k = min(horizon, 4096)
+        if state.paged:
+            k = self._pool_covered_steps(state, rows, ctx0, k)
+            if k == 0:
+                return False
+        # An iteration runs only while its loop-top clock stays under the
+        # segment bound — and under the next arrival when admission could
+        # accept it.  With a full batch, a non-empty waiting/preempted
+        # queue, or (FCFS) a blocked head, admission stays blocked for the
+        # whole window (reservations are constant and free blocks only
+        # shrink), so arrivals merely cross into the backlog.
+        bound = until_s
+        pending = state.pending
+        if (len(running) < state.slots and not state.waiting
+                and not state.preempted and pending):
+            arrival = pending[0].arrival_time_s
+            bound = arrival if bound is None else min(bound, arrival)
+        if bound is not None and k > 1:
+            # Estimate how many iterations fit under the bound from the
+            # first iteration's span and shrink the span matrix before
+            # pricing it; an off estimate merely splits the window across
+            # loop trips, which prices identically (the fold resumes from
+            # the same float clock).
+            span0 = float(cost.decode_span_s(ctx0, 1)[0])
+            if span0 > 0.0:
+                k_cap = int((bound - clock) / span0) + 2
+                if k_cap < k:
+                    k = max(k_cap, 1)
+        span = cost.decode_span_s(ctx0, k)
+        # clocks[j] is the clock after j window iterations; the fold seeds
+        # the running clock so each entry equals the stepped loop's
+        # sequence of += operations exactly.
+        clocks = np.empty(k + 1)
+        clocks[0] = clock
+        clocks[1:] = span
+        clocks = clocks.cumsum()
+        if bound is not None:
+            k = min(k, int(np.searchsorted(clocks[:k], bound, side="left")))
+            if k == 0:
+                return False
+        clock_end = float(clocks[k])
+        if state.paged:
+            allocator = state.allocator
+            block_tokens = allocator.pool.block_tokens
+            kv0 = cols.kv_tokens[rows]
+            held = -(-kv0 // block_tokens)
+            targets = np.maximum(ctx0 + (k - 1), kv0)
+            needs = -(-targets // block_tokens) - held
+            if not allocator.grow_many([r.request_id for r in running],
+                                       targets.tolist(), needs.tolist()):
+                raise RuntimeError(
+                    "fast-forward window overdrew the block pool; this is a bug")
+            cols.kv_tokens[rows] = targets
+            self._track_peak(state)
+        if k > 1:
+            self._sample_window(state, clocks[1:k], span[:k - 1])
+        # Every request's first in-window gap runs from its own last token;
+        # the later gaps are the shared clock deltas.
+        first_gap = (clocks[1] - cols.last_token_time_s[rows]).tolist()
+        shared_tail = (clocks[2:k + 1] - clocks[1:k]).tolist()
+        for request, gap in zip(running, first_gap, strict=True):
+            samples = request.tbt_samples_s
+            samples.append(gap)
+            samples.extend(shared_tail)
+        cols.tokens_generated[rows] = gen + k
+        cols.last_token_time_s[rows] = clock_end
+        decode_fold = np.empty(k + 1)
+        decode_fold[0] = state.decode_time_s
+        decode_fold[1:] = span[:k]
+        state.decode_time_s = float(decode_fold.cumsum()[-1])
+        state.decode_step_tokens += len(running) * k
+        if state.recorder is not None:
+            # One span for the whole window, never per-token events: the
+            # stepped loop merges the identical iterations one step at a
+            # time into the same span.
+            state.recorder.window_step(
+                "decode", (tuple(r.request_id for r in running), ()),
+                clock, clock_end, k, 0)
+            state.recorder.now_s = clock_end
+        state.clock = clock_end
+        if k == horizon:
+            done = (remaining_tokens == k).tolist()
+            self._finish(state, [r for r, last in zip(running, done, strict=True)
+                                 if last])
+        return True
+
+    @staticmethod
+    def _pool_covered_steps(state: EngineState, rows: np.ndarray,
+                            ctx0: np.ndarray, k: int) -> int:
+        """Largest window of at most ``k`` decode steps whose KV growth the
+        free block pool covers.
+
+        Growth targets are monotone, so only a window's final target
+        matters, and bisection finds the count (probing ``k`` first: the
+        pool usually covers the whole window).  Zero sends the iteration to
+        the stepped path, whose growth loop evicts a victim.
+        """
+        pool = state.allocator.pool
+        block_tokens, free_blocks = pool.block_tokens, pool.free_blocks
+        kv0 = state.columns.kv_tokens[rows]
+        held = -(-kv0 // block_tokens)
+        # Invariant: ``low`` steps fit the pool, ``high`` steps do not.
+        low, high, steps = 0, k + 1, k
+        while high - low > 1:
+            target = np.maximum(ctx0 + (steps - 1), kv0)
+            need = -(-target // block_tokens) - held
+            if int(np.maximum(need, 0).sum()) <= free_blocks:
+                low = steps
+            else:
+                high = steps
+            steps = (low + high) // 2
+        return low
+
+    @staticmethod
+    def _sample_window(state: EngineState, tops: np.ndarray,
+                       spans: np.ndarray) -> None:
+        """Queue-depth samples of a fast-forward window's inner loop tops.
+
+        ``tops`` are the clocks at the window's second through last loop
+        tops and ``spans`` the iteration spans leading to them.  Arrivals
+        the window crosses count as queued exactly as the stepped tops
+        would have counted them (they join ``waiting`` at the next real
+        loop top).
+        """
+        timeline = state.queue_depth_timeline
+        last_top = tops[-1]
+        crossed: List[float] = []
+        for request in state.pending:
+            if request.arrival_time_s > last_top:
+                break
+            crossed.append(request.arrival_time_s)
+        queued_base = len(state.waiting) + len(state.preempted)
+        n_running = len(state.running)
+        if crossed:
+            queued = (queued_base + np.searchsorted(
+                np.asarray(crossed), tops, side="right")).tolist()
+        else:
+            queued = [queued_base] * len(tops)
+        if float(spans.min()) > 0.0:
+            # Strictly increasing tops: no two consecutive samples can
+            # repeat, and the first differs from the pre-window sample by
+            # its later clock, so the dedup guard cannot fire — extend at C
+            # speed.
+            timeline.extend(zip(tops.tolist(), queued, repeat(n_running),
+                                strict=False))
+            return
+        for top, depth in zip(tops.tolist(), queued, strict=True):
+            sample = (top, depth, n_running)
+            if not timeline or timeline[-1] != sample:
+                timeline.append(sample)
+
+    def _step(self, state: EngineState, prefill_work: List[tuple],
+              decode_batch: List[ServingRequest]) -> None:
+        """Price one iteration, advance the clock and apply its progress.
+
+        The prefill chunks are priced by a left-to-right fold of
+        ``prefill_chunk_s`` (each chunk at its midpoint context), the
+        decode step by one ``decode_iteration_batch_s`` over the batch's
+        gathered contexts.
+        """
+        cost, cols, rec = state.cost, state.columns, state.recorder
+        prefill_s = 0.0
+        chunk_tokens = 0
+        for request, tokens in prefill_work:
+            if request.restore_remaining > 0:
+                done = request.restore_total - request.restore_remaining
+            else:
+                done = request.query.prompt_tokens - request.prefill_remaining
+            prefill_s += cost.prefill_chunk_s(tokens, max(done + tokens // 2, 1))
+            chunk_tokens += tokens
+        decode_s = 0.0
+        if decode_batch:
+            rows = np.fromiter((r._row for r in decode_batch), dtype=np.intp,
+                               count=len(decode_batch))
+            decode_s = cost.decode_iteration_batch_s(
+                cols.prompt_tokens[rows] - cols.prefill_remaining[rows]
+                + cols.tokens_generated[rows])
+            state.decode_time_s += decode_s
+            state.decode_step_tokens += len(decode_batch)
+        start_s = state.clock
+        state.clock += prefill_s + decode_s
+        state.prefill_time_s += prefill_s
+        clock = state.clock
+        if rec is not None:
+            decode_ids = tuple(r.request_id for r in decode_batch)
+            prefill_ids = tuple(r.request_id for r, _ in prefill_work)
+            kind = ("mixed" if decode_ids and prefill_ids
+                    else "decode" if decode_ids else "prefill")
+            rec.window_step(kind, (decode_ids, prefill_ids), start_s, clock,
+                            1, chunk_tokens if prefill_ids else 0)
+            rec.now_s = clock
+        # Only a request whose token count changed this iteration can newly
+        # satisfy the finish condition, so the decode batch plus the
+        # just-completed prefills cover every candidate.
+        finished: List[ServingRequest] = []
+        if decode_batch:
+            cols.tokens_generated[rows] += 1
+            # Time between tokens, including any prefill stalls since each
+            # request's previous token.
+            gaps = (clock - cols.last_token_time_s[rows]).tolist()
+            for request, gap in zip(decode_batch, gaps, strict=True):
+                request.tbt_samples_s.append(gap)
+            cols.last_token_time_s[rows] = clock
+            finished = [decode_batch[i] for i in np.flatnonzero(
+                cols.tokens_generated[rows] >= cols.decode_tokens[rows]).tolist()]
+        for request in self._apply_prefill(state, prefill_work):
+            if request.tokens_generated >= request.query.decode_tokens:
+                finished.append(request)
+        self._finish(state, finished)
+
+    @staticmethod
+    def _apply_prefill(state: EngineState, prefill_work: List[tuple]
+                       ) -> List[ServingRequest]:
+        """Apply the iteration's prefill chunks; returns the requests whose
+        prompt completed (each has just emitted its first token)."""
+        clock, rec = state.clock, state.recorder
+        completed: List[ServingRequest] = []
+        for request, tokens in prefill_work:
+            if request.restore_remaining > 0:
+                # KV rebuilt, nothing emitted: the request already owns its
+                # generated tokens and rejoins decode next iteration.
+                request.restore_remaining -= tokens
+                if request.restore_remaining == 0:
+                    if request.prefill_remaining == 0:
+                        request.state = RequestState.DECODE
+                    # Eviction-to-rebuilt: the rebuild span joins the
+                    # off-device time already accrued at resume (a prefill
+                    # victim's prompt tail then continues as ordinary,
+                    # non-stall prefill work).
+                    rebuild_s = clock - request.restore_started_s
+                    request.stall_s += rebuild_s
+                    if request.first_token_time_s is None:
+                        request.prefill_stall_s += rebuild_s
+                continue
+            request.prefill_remaining -= tokens
+            if request.prefill_remaining == 0:
+                # The chunk completing the prefill emits the first token.
+                request.state = RequestState.DECODE
+                request.first_token_time_s = clock
+                request.last_token_time_s = clock
+                request.tokens_generated = 1
+                if rec is not None:
+                    rec.event("request.first_token", clock, request.request_id)
+                if request.prefix_pending:
+                    # Cache-miss promotion: the prefix KV this request just
+                    # prefilled becomes the shared chain later arrivals
+                    # attach to (best-effort — skipped when another request
+                    # won the race or the pool cannot spare the tail
+                    # snapshot block).
+                    request.prefix_pending = False
+                    state.allocator.register_prefix(
+                        request.query.prefix_key, request.query.prefix_tokens,
+                        request.request_id, now_s=clock)
+                completed.append(request)
+        return completed
+
+    @staticmethod
+    def _finish(state: EngineState, finished: List[ServingRequest]) -> None:
+        """Retire ``finished`` at the clock: free their KV and slots."""
+        if not finished:
+            return
+        clock, rec = state.clock, state.recorder
+        for request in finished:
+            request.state = RequestState.FINISHED
+            request.finish_time_s = clock
+            if rec is not None:
+                rec.event("request.finished", clock, request.request_id,
+                          tokens=request.tokens_generated)
+            if state.paged:
+                state.allocator.release(request.request_id, now_s=clock)
+                request.kv_tokens = 0
+            else:
+                state.reserved_bytes -= request.kv_reserved_bytes
+        # In place: the loop and the phases share this list.
+        state.running[:] = [r for r in state.running
+                            if r.state is not RequestState.FINISHED]
+
+    # ------------------------------------------------- paged-mode eviction
+
+    @staticmethod
+    def _log_preemption(state: EngineState, victim: ServingRequest, kind: str,
+                        **details) -> None:
+        """Record one eviction exactly once: a plain ``evictions`` entry
+        when tracing is off, a typed ``serving.preempt`` event (from which
+        ``preemption_log`` is derived) when it is on."""
+        if state.recorder is None:
+            state.evictions.append((state.clock, victim.request_id))
+        else:
+            state.recorder.event("serving.preempt", state.clock,
+                                 victim.request_id, kind=kind, **details)
+
+    def _preempt(self, state: EngineState, victim: ServingRequest) -> None:
+        """Evict ``victim``: free its blocks, set up its restore path."""
+        allocator, policy, clock = state.allocator, state.policy, state.clock
+        if victim.restore_remaining > 0:
+            # Re-evicted mid-rebuild: the aborted rebuild was stall time,
+            # and the unexecuted tail of the earlier recompute charge never
+            # ran — refund it before re-charging below.
+            aborted_s = clock - victim.restore_started_s
+            victim.stall_s += aborted_s
+            if victim.first_token_time_s is None:
+                victim.prefill_stall_s += aborted_s
+            victim.recompute_tokens -= victim.restore_remaining
+            victim.restore_remaining = 0
+            victim.restore_total = 0
+        tokens_with_kv = victim.kv_tokens
+        context = victim.context_length
+        # A shared-prefix reader keeps its chain pinned across the park
+        # (keep_prefix): its shared blocks never leave the device, so they
+        # neither travel on a swap nor rebuild on a recompute.
+        shared_tokens = (allocator.shared_tokens(victim.request_id)
+                         if self.prefix_sharing else 0)
+        allocator.release(victim.request_id, keep_prefix=True)
+        victim.kv_tokens = 0
+        victim.preempted_count += 1
+        victim.preempt_time_s = clock
+        victim.state = RequestState.PREEMPTED
+        victim.restore_ready_s = 0.0
+        victim.restore_via = policy.restore
+        if policy.restore == "swap":
+            # Only materialised KV travels; the prompt's still-unwritten
+            # tail of a prefilling victim does not, nor do the chain's
+            # device-resident shared blocks.
+            victim.resume_kv_tokens = tokens_with_kv
+            victim.swap_bytes = max(context - shared_tokens, 0) * state.bytes_per_token
+            out_s = kv_swap_time_s(victim.swap_bytes, self.system.config.link,
+                                   pp_stages=state.plan.pp_stages)
+            victim.num_swap_outs += 1
+            victim.swap_time_s += out_s
+            victim.swap_done_s = clock + out_s
+        elif victim.prefill_remaining > 0:
+            # Recompute a half-prefilled victim: rebuild the lost prefix
+            # through the restore path, then let the prompt's tail
+            # continue; the rebuild span counts as stall exactly like a
+            # decoding victim's.
+            prefix = victim.query.prompt_tokens - victim.prefill_remaining
+            rebuild = max(prefix - shared_tokens, 0)
+            victim.recompute_tokens += rebuild
+            victim.restore_remaining = rebuild
+            victim.restore_total = rebuild
+            victim.resume_kv_tokens = victim.query.prompt_tokens
+        else:
+            # Recompute a decoding victim by re-prefilling its context.
+            rebuild = max(context - shared_tokens, 0)
+            victim.recompute_tokens += rebuild
+            victim.restore_remaining = rebuild
+            victim.restore_total = rebuild
+            victim.resume_kv_tokens = context
+        state.running.remove(victim)
+        state.preempted.append(victim)
+        self._log_preemption(state, victim, "full", restore=policy.restore,
+                             kv_tokens=tokens_with_kv, context=context)
+
+    def _stage_out(self, state: EngineState, victim: ServingRequest,
+                   num_blocks: int, *, park: bool) -> None:
+        """Block-granular eviction: stage the victim's coldest prefix
+        blocks to host memory, keeping the rest device-resident.
+
+        ``park=True`` takes a runner out of the batch (its restore is a
+        small swap-in of just the staged blocks instead of re-allocating —
+        and re-transferring — the whole context).  ``park=False`` deepens
+        the eviction of an *already parked* victim when no runner is left
+        to evict: the extra bite joins the same parked episode — its
+        restore grows by the staged blocks and its stall clock keeps
+        running from the original eviction — instead of deadlocking the
+        survivor's growth.
+        """
+        allocator, clock = state.allocator, state.clock
+        staged = allocator.evict_blocks(victim.request_id, num_blocks)
+        victim.swapped_kv_blocks += staged
+        victim.partial_evictions += 1
+        victim.preempted_count += 1
+        bytes_out = staged * allocator.pool.block_bytes
+        out_s = kv_swap_time_s(bytes_out, self.system.config.link,
+                               pp_stages=state.plan.pp_stages)
+        victim.num_swap_outs += 1
+        victim.swap_time_s += out_s
+        if park:
+            victim.preempt_time_s = clock
+            victim.state = RequestState.PREEMPTED
+            victim.restore_ready_s = 0.0
+            victim.restore_via = "swap"
+            # The allocation survives: resume re-admits the staged blocks
+            # and the KV token count is unchanged.
+            victim.resume_kv_tokens = victim.kv_tokens
+            victim.swap_bytes = bytes_out
+            victim.swap_done_s = clock + out_s
+            state.running.remove(victim)
+            state.preempted.append(victim)
+        else:
+            victim.swap_bytes += bytes_out
+            # The fresh transfer queues behind any still-draining one.
+            victim.swap_done_s = max(victim.swap_done_s, clock) + out_s
+        self._log_preemption(state, victim, "partial", staged_blocks=staged,
+                             park=park)
+
+    def _resume(self, state: EngineState, request: ServingRequest) -> None:
+        """Bring a preempted request back; its KV is already booked."""
+        clock = state.clock
+        via = request.restore_via
+        request.kv_tokens = request.resume_kv_tokens
+        before_first = request.first_token_time_s is None
+        parked_s = clock - request.preempt_time_s
+        request.stall_s += parked_s
+        if before_first:
+            request.prefill_stall_s += parked_s
+        if via == "swap":
+            in_s = kv_swap_time_s(request.swap_bytes, self.system.config.link,
+                                  pp_stages=state.plan.pp_stages)
+            request.num_swap_ins += 1
+            request.swap_time_s += in_s
+            # Swap-in serialises behind any still-draining swap-out.
+            request.restore_ready_s = max(clock, request.swap_done_s) + in_s
+            request.stall_s += request.restore_ready_s - clock
+            if before_first:
+                request.prefill_stall_s += request.restore_ready_s - clock
+        request.restore_via = ""
+        request.migration_pending = False
+        if request.restore_remaining > 0:
+            # Recompute restore: the re-prefill ahead still keeps the
+            # request off decode, so its span counts as stall too (accrued
+            # when the rebuild completes).
+            request.restore_started_s = clock
+        rebuilding = request.prefill_remaining > 0 or request.restore_remaining > 0
+        request.state = RequestState.PREFILL if rebuilding else RequestState.DECODE
+        if state.recorder is not None:
+            state.recorder.event("request.resume", clock, request.request_id,
+                                 via=via, ready_s=request.restore_ready_s,
+                                 rebuild_tokens=request.restore_remaining)
+
+    def _grow_or_preempt(self, state: EngineState,
+                         candidates: List[ServingRequest]) -> List[ServingRequest]:
+        """Grow each decodable request's KV to its context, evicting on
+        pool exhaustion; returns the requests that may decode now."""
+        allocator, policy, clock = state.allocator, state.policy, state.clock
+        partial = policy.partial_blocks
+        batch: List[ServingRequest] = []
+        for request in candidates:
+            if request.state is RequestState.PREEMPTED:
+                continue  # evicted by an earlier candidate's growth
+            target = max(request.context_length, request.kv_tokens)
+            grown = allocator.grow(request.request_id, target)
+            while not grown:
+                victims = [r for r in state.running
+                           if r is not request and r.restore_ready_s <= clock]
+                kind, victim = policy.select_eviction(
+                    victims,
+                    allocator.evictable_prefixes() if self.prefix_sharing else (),
+                    clock)
+                if kind == "chain":
+                    # The coldest blocks pool-wide belong to an idle
+                    # (refcount-zero) shared prefix: reclaim it before
+                    # preempting any live request.
+                    allocator.evict_prefix(victim.key)
+                elif victim is not None:
+                    # Block-granular swap: stage only the victim's coldest
+                    # prefix blocks when it holds more than that; a victim
+                    # at or below the partial size is evicted whole.
+                    if (partial is not None
+                            and allocator.holds_resident_blocks(
+                                victim.request_id) > partial):
+                        self._stage_out(state, victim, partial, park=True)
+                    else:
+                        self._preempt(state, victim)
+                    if victim in batch:
+                        batch.remove(victim)
+                elif partial is not None:
+                    # No runner left to evict; free blocks from a parked,
+                    # still partially-resident victim instead of
+                    # deadlocking the survivor's growth.
+                    parked = [r for r in state.preempted
+                              if allocator.holds_resident_blocks(r.request_id) > 0]
+                    victim = policy.select_victim(parked, clock)
+                    if victim is None:
+                        break
+                    self._stage_out(state, victim, partial, park=False)
+                else:
+                    break
+                grown = allocator.grow(request.request_id, target)
+            if grown:
+                request.kv_tokens = target
+                batch.append(request)
+        self._track_peak(state)
+        return batch
 
     # ------------------------------------------------------------- migration
 
@@ -1741,8 +1652,14 @@ class ServingEngine:
         reserve mode), paying a swap-in priced on *this* engine's fabric
         serialised behind the source's still-draining swap-out.  TTFT,
         latency and SLA classification stay anchored to the original
-        arrival time, which travels inside ``moved.query``.
+        arrival time, which travels inside ``moved.query``.  An over-long
+        query raises before the state changes.
         """
+        servable = bool(self._servable_mask(
+            np.array([moved.query.total_context], dtype=np.int64),
+            state.kv_budget)[0])
+        if servable:
+            self._check_planned(state, moved.query)
         request = ServingRequest(len(state.requests), moved.query,
                                  columns=state.columns)
         state.requests.append(request)
@@ -1767,18 +1684,12 @@ class ServingEngine:
         request.prefix_hit_tokens = moved.prefix_hit_tokens
         request.cow_blocks = moved.cow_blocks
         rec = state.recorder
-        if not self._is_servable(moved.query, state.kv_budget):
+        if not servable:
             request.state = RequestState.REJECTED
             if rec is not None:
                 rec.event("request.migrate_in", now_s, request.request_id,
                           accepted=False)
             return request
-        if moved.query.total_context > state.planned_context:
-            raise ValueError(
-                f"query context {moved.query.total_context} exceeds the "
-                f"planned context {state.planned_context}; pass a "
-                "planning_trace covering every query this state may serve"
-            )
         request.state = RequestState.PREEMPTED
         request.restore_via = "swap"
         request.migration_pending = True
@@ -1820,7 +1731,7 @@ class ServingEngine:
         the cluster placer's capability probe.
         """
         queries = list(trace)
-        plan, cost, slots = self._setup(queries)
+        plan, cost, slots, _ = self._setup(queries)
         # Estimate from the queries admission could actually accept, with the
         # same predicate (and weight-feasibility error) run() applies.
         kv_budget = self._kv_budget_bytes(plan)

@@ -2,7 +2,7 @@
 
 The hot per-iteration fields (progress counters, timing marks, lifecycle
 state) live in a struct-of-arrays store, :class:`RequestColumns`, so the
-engine's vectorized paths can price and advance whole batches with numpy
+engine can build, price and advance whole batches with numpy
 gathers instead of per-object attribute walks.  :class:`ServingRequest` is a
 *view* over one row of that store: scalar code (the kvstore, preemption
 policies, live migration, tests) keeps reading and writing the same named

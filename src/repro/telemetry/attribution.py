@@ -14,7 +14,7 @@ Two complementary inputs:
   replica's makespan into prefill / decode / idle, and the CXL link's
   swap/migration traffic is totalled.  It needs no trace — the engine's
   per-request counters carry everything — so it works identically on
-  traced and untraced, scalar and vectorized runs.
+  traced and untraced runs, with the fast-forward on or off.
 * :func:`attribute_trace` consumes the flat JSONL event dicts
   (``read_jsonl`` / ``iter_scope_events``) so ``python -m repro.telemetry``
   can answer the same questions about any *saved* trace: per-request
@@ -264,7 +264,7 @@ def _attribute_request(request) -> Optional[RequestAttribution]:
 def attribute_run(run, *, name: str = "engine") -> RunAttribution:
     """Exact time attribution of one :class:`~repro.serving.engine.EngineRun`.
 
-    Works identically on traced and untraced, scalar and vectorized runs:
+    Works identically on traced and untraced runs, fast-forward on or off:
     everything derives from the engine's per-request timing marks and
     counters, never from the event stream.  The result is conservation-
     verified before it is returned.

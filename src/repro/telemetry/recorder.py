@@ -11,15 +11,15 @@ Design rules (see CONTRIBUTING "Instrumenting a subsystem"):
 
 * **Zero overhead when disabled.**  Tracing off means ``recorder is None``
   everywhere; every emission site is guarded by a single ``is not None``
-  check and builds no args, so the vectorized fast-forward stays fully
+  check and builds no args, so the event-horizon fast-forward stays fully
   batched.
 * **No per-token events.**  Decode/prefill iterations coalesce into
   *window* spans via :meth:`ScopedRecorder.window_step`: consecutive
   iterations with the same batch and a contiguous clock merge into one
   span, so the event-horizon fast-forward (which advances a whole window
-  in one closed-form step) and the scalar reference loop (which walks the
+  in one closed-form step) and the engine with it off (which steps the
   same window one iteration at a time) flush **identical** spans.  This is
-  what keeps the scalar/vectorized trace-equivalence test honest.
+  what keeps the fast-forward trace-equivalence test honest.
 * **Record each fact once.**  ``EngineState.preemption_log`` and
   ``queue_depth_timeline`` become views over the event stream when a
   recorder is attached (`serving.preempt` events / the scope's queue
@@ -158,8 +158,8 @@ class ScopedRecorder:
         Consecutive calls merge iff the kind and batch ``key`` match and the
         clock is contiguous (``start_s`` equals the open window's end,
         float-exactly); anything else flushes the open window as one
-        ``engine.<kind>_window`` span and opens a new one.  The scalar loop
-        calls this once per iteration, the fast-forward once per closed-form
+        ``engine.<kind>_window`` span and opens a new one.  A stepped
+        iteration calls this once, the fast-forward once per closed-form
         window — both collapse to the same final spans.
         """
         window = self._open_window

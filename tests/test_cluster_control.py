@@ -26,6 +26,7 @@ from repro.core.config import CentConfig
 from repro.core.system import CentSystem
 from repro.evaluation import closed_loop_study
 from repro.models.config import ModelConfig
+from repro.models.memory import ModelMemoryProfile
 from repro.serving import RequestState, ServingEngine
 from repro.workloads import (
     bursty_arrivals,
@@ -33,6 +34,7 @@ from repro.workloads import (
     sharegpt_like_queries,
     with_arrivals,
 )
+from repro.workloads.queries import Query
 
 
 @pytest.fixture(scope="module")
@@ -392,6 +394,18 @@ class TestSegmentedEngine:
         state = engine.begin([], planning_trace=short)
         with pytest.raises(ValueError, match="planning_trace"):
             engine.extend(state, timed_trace(1, 5.0, max_context=2048))
+        # A batch mixing servable queries with an over-long one is refused
+        # whole: the state is left exactly as it was, not with queued
+        # requests that no queue holds.
+        state = engine.begin(short[:2], planning_trace=short)
+        before = (len(state.requests), state.columns.size,
+                  state.unfinished, list(state.pending))
+        with pytest.raises(ValueError, match="planning_trace"):
+            engine.extend(state, short[2:] + timed_trace(1, 5.0, max_context=2048))
+        assert (len(state.requests), state.columns.size,
+                state.unfinished, list(state.pending)) == before
+        engine.advance(state)
+        assert state.drained and state.unfinished == []
 
     def test_begin_empty_without_planning_trace_raises(self, system):
         engine = ServingEngine(system, context_step=512)
@@ -482,6 +496,64 @@ class TestEngineMigration:
         assert request.arrival_time_s == query.arrival_time_s
         # The pre-restart queueing shows up in the measured TTFT.
         assert request.ttft_s >= 3.0 - query.arrival_time_s
+
+    def test_migrate_in_rejects_context_beyond_planning_trace(self, small_model):
+        """An over-long migrated query raises before the destination state
+        changes at all."""
+        source = self.make_engine(small_model, "reserve")
+        target = self.make_engine(small_model, "reserve")
+        long = timed_trace(1, 5.0, max_context=2048)
+        state_a = source.begin(long)
+        moved = source.migrate_out(state_a, state_a.requests[0], now_s=0.0)
+        short = timed_trace(4, 5.0, max_context=256)
+        state_b = target.begin(short[:2], planning_trace=short)
+        before = (len(state_b.requests), state_b.columns.size,
+                  state_b.unfinished, list(state_b.pending),
+                  list(state_b.preempted))
+        with pytest.raises(ValueError, match="planning_trace"):
+            target.migrate_in(state_b, moved, now_s=0.0)
+        assert (len(state_b.requests), state_b.columns.size,
+                state_b.unfinished, list(state_b.pending),
+                list(state_b.preempted)) == before
+        target.advance(state_b)
+        assert state_b.drained and state_b.unfinished == []
+
+    @pytest.mark.parametrize("admission", ["reserve", "paged"])
+    def test_unresumable_preempted_head_is_skipped(self, small_model, admission):
+        """A preempted request that cannot be re-booked yet is skipped, not
+        waited on: a smaller one queued behind it resumes first."""
+        system = CentSystem(CentConfig(num_devices=2, context_samples=2),
+                            small_model)
+        profile = ModelMemoryProfile(small_model)
+        # KV room for 1,000 tokens: the running filler plus the small
+        # request fit, the filler plus the large one do not.
+        capacity = profile.parameter_bytes + int(
+            1000 * profile.kv_cache_bytes_per_token()
+            * system.config.kv_occupancy)
+        filler = Query(500, 100, arrival_time_s=0.0)
+        large = Query(500, 100, arrival_time_s=0.0)
+        small = Query(50, 50, arrival_time_s=0.0)
+        engine = ServingEngine(system, context_step=512, admission=admission,
+                               memory_capacity_bytes=capacity)
+        state = engine.begin([filler], planning_trace=[filler, large, small])
+        engine.advance(state, until_s=1e-9)
+        assert [r.query for r in state.running] == [filler]
+
+        source = ServingEngine(system, context_step=512, admission=admission)
+        state_a = source.begin([large, small])
+        moved = [source.migrate_out(state_a, r, now_s=0.0)
+                 for r in list(state_a.requests)]
+        migrated_large = engine.migrate_in(state, moved[0], now_s=state.clock)
+        migrated_small = engine.migrate_in(state, moved[1], now_s=state.clock)
+        assert list(state.preempted) == [migrated_large, migrated_small]
+
+        engine.advance(state, until_s=state.clock + 1e-9)
+        assert migrated_small in state.running
+        assert list(state.preempted) == [migrated_large]
+        engine.advance(state)
+        assert state.drained
+        assert all(r.state is RequestState.FINISHED for r in state.requests)
+        assert migrated_small.finish_time_s < migrated_large.finish_time_s
 
     def test_migrate_out_refuses_unmovable_requests(self, small_model):
         engine = self.make_engine(small_model, "paged")

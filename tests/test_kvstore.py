@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.core.config import CentConfig
@@ -99,10 +100,11 @@ class TestBlockPool:
         budget = int(profile.kv_cache_bytes_per_query(1024) / 0.9)
         capacity = profile.parameter_bytes + budget
         query = Query(512, 512)
+        contexts = np.array([query.total_context], dtype=np.int64)
         for admission in ("reserve", "paged"):
             engine = ServingEngine(system, memory_capacity_bytes=capacity,
                                    admission=admission)
-            assert engine._is_servable(query, budget), admission
+            assert engine._servable_mask(contexts, budget)[0], admission
 
     def test_allocate_release_bounds(self):
         pool = BlockPool(budget_bytes=480, bytes_per_token=10, block_tokens=16)

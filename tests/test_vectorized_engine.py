@@ -1,14 +1,16 @@
-"""Bit-exactness of the vectorized serving core against the scalar path.
+"""Bit-exactness of the event-horizon fast-forward against stepped runs.
 
-The vectorized iteration core (columnar request state, batched cost
-pricing, the event-horizon fast-forward, C-speed bookkeeping) is allowed
-exactly zero numerical drift: every float it produces must replay the
-scalar loop's arithmetic operation for operation.  These tests pin that
-contract with full-run fingerprints — every per-request timestamp, every
-time-between-tokens sample, the whole queue-depth timeline — across the
+``vectorize=True`` (the default) advances uneventful all-decode windows
+in closed form; ``vectorize=False`` is the same engine with that
+fast-forward off, stepping every iteration through the same batch builder
+and pricing calls.  The fast-forward is allowed exactly zero numerical
+drift: every float it produces must replay the stepped loop's arithmetic
+operation for operation.  These tests pin that contract with full-run
+fingerprints — every per-request timestamp, every time-between-tokens
+sample, the whole queue-depth timeline — across the
 admission/preemption/migration scenario matrix, plus direct equivalence
-of the batch cost-model entry points and the O(batch) ``extend``
-regression.
+of the batch cost-model entry points with their scalar folds and the
+O(batch) ``extend`` regression.
 """
 
 import numpy as np
@@ -198,14 +200,6 @@ class TestBatchCostModel:
         for step in range(64):
             stepped = [c + step for c in contexts.tolist()]
             assert span[step] == cost.decode_iteration_s(stepped)
-
-    def test_prefill_chunk_batch_matches_scalar_fold(self, cost):
-        tokens = np.array([512, 100, 0, 37, 512])
-        contexts = np.array([256, 900, 1, 1500, 2048])
-        fold = 0.0
-        for num, context in zip(tokens.tolist(), contexts.tolist(), strict=True):
-            fold += cost.prefill_chunk_s(num, context)
-        assert cost.prefill_chunk_batch_s(tokens, contexts) == fold
 
 
 class TestExtendBookkeeping:
