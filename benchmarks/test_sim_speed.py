@@ -121,4 +121,8 @@ def test_closed_loop_sim_speed(benchmark, once, capsys):
         print(f"closed-loop sim speed: {requests_per_s:,.0f} simulated "
               f"requests/s ({elapsed:.2f}s wall for "
               f"{CLOSED_LOOP_REQUESTS:,} requests, 2 tenants, epoch control)")
-    assert requests_per_s > 5
+    # The placer's capacity probes price blocks at many device counts.  With
+    # the process-wide operation memo this trace ran at 270-600 req/s on
+    # 2-core Xeon hosts, and at 43-80 without it: the floor catches a lost
+    # memo and leaves a margin for a slower host.
+    assert requests_per_s > 100

@@ -7,13 +7,28 @@ accelerator / RISC-V latencies and the CXL communication of the chosen
 parallelisation plan, and caches the result.  Inference-level aggregation
 (prefill / decoding phases, pipelining, throughput) lives in
 ``repro.core.inference``.
+
+Two caches sit in this module:
+
+* each :class:`PerformanceModel` keeps an LRU of whole block costs, keyed by
+  (model, context, channel assignment);
+* one process-wide :data:`OPERATION_MEMO`, shared by every model (and so by
+  every ``CentSystem``), maps one compiled operation to its channel timing.
+  Every operation runs on a fresh ``PIMChannel``, so its busy time, buffer
+  transfer counts and DRAM command counts are a pure function of
+  ``(timing, geometry, program content)``; the memo is keyed by exactly
+  that and is therefore exact.  The FC GEMVs repeat at every context length
+  and across device counts, so most operations of a cold run are hits.
+  The block fold over operations is the same on a hit or a miss, so every
+  :class:`BlockCost` is bit-identical to a simulation without the memo.
 """
 
 from __future__ import annotations
 
+import pickle
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from repro.compiler.operations import PnmTask, PnmUnit
 from repro.compiler.transformer import compile_transformer_block
@@ -21,13 +36,89 @@ from repro.core.config import CentConfig
 from repro.core.results import LatencyBreakdown
 from repro.cxl.primitives import broadcast, gather, multicast, send_receive
 from repro.dram.commands import CommandType
+from repro.dram.geometry import ChannelGeometry
+from repro.dram.timing import TimingParameters
+from repro.isa.program import Program
 from repro.mapping.parallelism import ParallelismPlan
 from repro.models.config import ModelConfig
 from repro.pim.channel import PIMChannel
 from repro.pnm.accelerators import PnmLatencyModel
 from repro.pnm.riscv import RiscvCluster
 
-__all__ = ["BlockCost", "PerformanceModel"]
+__all__ = [
+    "BlockCost",
+    "OPERATION_MEMO",
+    "OPERATION_MEMO_ENTRIES",
+    "OperationMemo",
+    "OperationTiming",
+    "PerformanceModel",
+]
+
+#: Bound of the process-wide operation memo.  An entry is one operation's
+#: program key (a few kB to ~100 kB of bytes) and four counters.
+OPERATION_MEMO_ENTRIES = 4096
+
+
+class OperationTiming(NamedTuple):
+    """What one operation's program leaves on a fresh ``PIMChannel``."""
+
+    busy_until_ns: float
+    global_buffer_writes: int
+    shared_buffer_transfers: int
+    #: DRAM command counts in the order the channel first issued each kind.
+    command_counts: Tuple[Tuple[CommandType, int], ...]
+
+
+class OperationMemo:
+    """Bounded LRU of operation timings by program content.
+
+    The key is the pickled tuple of every instruction's class name and field
+    values, so two programs share an entry only when they are the same
+    instruction stream.  ``hits`` and ``misses`` count lookups since
+    construction.
+    """
+
+    def __init__(self, capacity: int = OPERATION_MEMO_ENTRIES) -> None:
+        if capacity <= 0:
+            raise ValueError("memo capacity must be positive")
+        self.capacity = capacity
+        self.hits = 0
+        self.misses = 0
+        self._entries: "OrderedDict[Tuple, OperationTiming]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def timing(
+        self, timing: TimingParameters, geometry: ChannelGeometry, program: Program
+    ) -> OperationTiming:
+        """What ``program`` leaves on a fresh channel once its row is
+        closed, simulated only on the first lookup."""
+        key = (timing, geometry, pickle.dumps(
+            tuple((type(instruction).__name__, *vars(instruction).values())
+                  for instruction in program)))
+        result = self._entries.get(key)
+        if result is not None:
+            self.hits += 1
+            self._entries.move_to_end(key)
+            return result
+        self.misses += 1
+        channel = PIMChannel(timing=timing, geometry=geometry)
+        channel.execute_program(program)
+        channel.close_row()
+        result = self._entries[key] = OperationTiming(
+            busy_until_ns=channel.busy_until_ns,
+            global_buffer_writes=channel.stats.global_buffer_writes,
+            shared_buffer_transfers=channel.stats.shared_buffer_transfers,
+            command_counts=tuple(channel.dram.stats.counts.items()),
+        )
+        if len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+        return result
+
+
+#: The memo every :class:`PerformanceModel` in the process shares.
+OPERATION_MEMO = OperationMemo()
 
 
 @dataclass
@@ -60,6 +151,11 @@ class PerformanceModel:
     assignment).  The capacity comes from ``config.block_cache_entries`` (or
     the explicit ``cache_capacity`` override) so long serving traces that
     sweep many context lengths cannot grow memory without bound.
+
+    Below that cache, a block miss still compiles the block (so compiler
+    validation and the allocator's capacity check always run) but takes
+    each operation's channel timing from the process-wide
+    :data:`OPERATION_MEMO`, which simulates only programs it has not seen.
     """
 
     def __init__(self, config: CentConfig, cache_capacity: int | None = None) -> None:
@@ -152,22 +248,20 @@ class PerformanceModel:
         for operation in block.operations:
             if len(operation.program) == 0:
                 continue
-            channel = PIMChannel(
-                timing=self.config.timing, geometry=self.config.geometry
+            op = OPERATION_MEMO.timing(
+                self.config.timing, self.config.geometry, operation.program
             )
-            channel.execute_program(operation.program)
-            channel.close_row()
-            pim_ns += channel.busy_until_ns
+            pim_ns += op.busy_until_ns
             # Staging traffic over the device-internal bus: WR_GB carries the
             # same vector to every channel's global buffer, so it is a
             # broadcast paid once per device; per-channel results and KV
             # writes (RD_MAC, WR_SBK, ...) are distinct and serialise across
             # the concurrently active channels of the device.
-            broadcast_bytes = channel.stats.global_buffer_writes * slot_bytes
-            distinct_bytes = (channel.stats.shared_buffer_transfers * slot_bytes
+            broadcast_bytes = op.global_buffer_writes * slot_bytes
+            distinct_bytes = (op.shared_buffer_transfers * slot_bytes
                               * self.config.channels_per_device)
             pim_ns += (broadcast_bytes + distinct_bytes) / self.config.device_bus_gbps
-            for kind, count in channel.dram.stats.counts.items():
+            for kind, count in op.command_counts:
                 command_counts[kind] = command_counts.get(kind, 0) + count
         pnm_ns = sum(self._pnm_task_latency(task) for task in block.pnm_tasks)
         return BlockCost(

@@ -25,7 +25,11 @@ owner keep its chain reference — a parked victim pins its prefix, so a hot
 shared prefix is never reclaimed underneath a restore.  Unreferenced
 chains stay cached until :meth:`evict_prefix` (the engine's joint eviction
 ranking) or the internal coldest-first reclaim that backs admission and
-readmission under pool pressure.  The per-owner invariant
+readmission under pool pressure.  Two last resorts keep a lone owner
+growing when sharing itself holds the blocks it needs:
+:meth:`dissolve_prefix` hands a chain its owner alone reads back as
+private blocks (freeing the tail snapshot), and :meth:`unpin_prefix`
+drops a parked owner's kept reference.  The per-owner invariant
 ``holds_blocks(owner) == pool.blocks_for(holds_tokens(owner))`` holds with
 or without sharing — attached owners count their chain's full shared
 blocks — which is what keeps the vectorized fast-forward's closed-form
@@ -336,6 +340,58 @@ class KvAllocator:
                            blocks=blocks,
                            free_blocks=self.pool.free_blocks)
         return blocks
+
+    def dissolve_prefix(self, owner: Hashable, *, now_s: float = 0.0) -> int:
+        """Give the chain only ``owner`` reads back to it as private blocks.
+
+        The inverse of :meth:`register_prefix`: the chain's full blocks
+        return to the owner's private allocation and its tail snapshot
+        block goes back to the pool (the owner's own copy-on-write tail
+        holds those tokens).  ``holds_blocks(owner)`` is unchanged.
+        Returns the blocks freed.  The owner must hold an allocation and
+        be the chain's only reader.
+        """
+        key = self._shared.get(owner)
+        if key is None or owner not in self._tokens:
+            raise ValueError(f"owner {owner!r} holds no shared allocation")
+        chain = self.pool.prefix_chains[key]
+        if chain.refcount != 1:
+            raise ValueError(
+                f"prefix chain {key!r} has {chain.refcount} readers; only a "
+                f"chain its owner alone reads can dissolve"
+            )
+        shared = chain.tokens // self.pool.block_tokens
+        self.pool.prefix_detach(key, now_s)
+        freed = self.pool.prefix_evict(key) - shared
+        self.pool.allocate(shared)
+        del self._shared[owner]
+        self._blocks[owner] += shared
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.event("kv.prefix_evict", recorder.now_s, owner,
+                           prefix=str(key), tokens=chain.tokens,
+                           blocks=freed, free_blocks=self.pool.free_blocks)
+        return freed
+
+    def unpin_prefix(self, owner: Hashable, *, now_s: float = 0.0) -> int:
+        """Drop the chain reference a parked owner kept; returns the full
+        chain blocks it no longer reads from the device.
+
+        The chain stays cached (evictable once no reader is left).  An
+        owner that still holds an allocation (a block-granular park) keeps
+        its coverage: those blocks count as host-staged from now on, so
+        ``holds_blocks(owner)`` is unchanged and :meth:`readmit` brings
+        them back with the rest.
+        """
+        key = self._shared.pop(owner, None)
+        if key is None:
+            raise ValueError(f"owner {owner!r} is not attached to a prefix")
+        chain = self.pool.prefix_detach(key, now_s)
+        shared = chain.tokens // self.pool.block_tokens
+        if owner in self._tokens:
+            self._swapped[owner] = self._swapped.get(owner, 0) + shared
+            self.pool.stage_copies(shared)
+        return shared
 
     def _pool_allocate(self, blocks: int, exclude: Optional[Hashable]) -> bool:
         """Pool grab that reclaims cold unreferenced chains on shortage."""

@@ -190,6 +190,13 @@ class BlockPool:
         self.swapped_blocks -= num_blocks
         return True
 
+    def stage_copies(self, num_blocks: int) -> None:
+        """Account host copies of ``num_blocks`` blocks that stay on device
+        under another holder (a shared prefix an owner stops reading)."""
+        if num_blocks < 0:
+            raise ValueError(f"block count must be non-negative, got {num_blocks}")
+        self.swapped_blocks += num_blocks
+
     def drop_swapped(self, num_blocks: int) -> None:
         """Discard host copies whose owner released (or migrated away)."""
         if num_blocks < 0:

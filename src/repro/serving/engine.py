@@ -1516,24 +1516,86 @@ class ServingEngine:
                         self._preempt(state, victim)
                     if victim in batch:
                         batch.remove(victim)
-                elif partial is not None:
+                else:
                     # No runner left to evict; free blocks from a parked,
                     # still partially-resident victim instead of
                     # deadlocking the survivor's growth.
-                    parked = [r for r in state.preempted
-                              if allocator.holds_resident_blocks(r.request_id) > 0]
+                    parked = ([r for r in state.preempted
+                               if allocator.holds_resident_blocks(r.request_id) > 0]
+                              if partial is not None else [])
                     victim = policy.select_victim(parked, clock)
-                    if victim is None:
+                    if victim is not None:
+                        self._stage_out(state, victim, partial, park=False)
+                    elif not self._release_sharing(state, request):
                         break
-                    self._stage_out(state, victim, partial, park=False)
-                else:
-                    break
                 grown = allocator.grow(request.request_id, target)
             if grown:
                 request.kv_tokens = target
                 batch.append(request)
         self._track_peak(state)
         return batch
+
+    def _release_sharing(self, state: EngineState,
+                         request: ServingRequest) -> bool:
+        """Free the blocks prefix sharing holds for a lone runner that
+        cannot grow; False when sharing holds none.
+
+        Called only when nothing else is left to evict.  Alone on the
+        device, the runner would stall for good: parked readers pin their
+        chains, and its own chain costs a tail-snapshot block more than
+        the same KV held privately.  So a chain the runner alone reads
+        dissolves back into its private blocks; otherwise the policy's
+        parked reader stops reading its chain (:meth:`_unpin`), which a
+        later pass can then evict or dissolve.
+        """
+        allocator = state.allocator
+        if len(state.running) > 1:
+            return False
+        key = allocator.shared_key(request.request_id)
+        if key is not None and allocator.pool.prefix_chains[key].refcount == 1:
+            allocator.dissolve_prefix(request.request_id, now_s=state.clock)
+            return True
+        readers = [r for r in state.preempted
+                   if allocator.shared_key(r.request_id) is not None]
+        victim = state.policy.select_victim(readers, state.clock)
+        if victim is None:
+            return False
+        self._unpin(state, victim)
+        return True
+
+    def _unpin(self, state: EngineState, victim: ServingRequest) -> None:
+        """Take a parked reader's shared prefix off its device residency.
+
+        The prefix joins the victim's restore as if it had never been
+        shared: a swap victim stages it out now and brings it back with
+        the rest of its KV, a recompute victim rebuilds it.  Like a
+        deepening :meth:`_stage_out`, the bite joins the parked episode.
+        """
+        allocator, clock = state.allocator, state.clock
+        blocks = allocator.unpin_prefix(victim.request_id, now_s=clock)
+        victim.preempted_count += 1
+        if victim.swapped_kv_blocks:
+            # Block-granular park: the prefix blocks count as staged.
+            victim.swapped_kv_blocks += blocks
+            bytes_out = blocks * allocator.pool.block_bytes
+        else:
+            tokens = min(blocks * allocator.pool.block_tokens,
+                         victim.context_length)
+            if victim.restore_via != "swap":
+                victim.recompute_tokens += tokens
+                victim.restore_remaining += tokens
+                victim.restore_total += tokens
+                self._log_preemption(state, victim, "prefix", tokens=tokens)
+                return
+            bytes_out = tokens * state.bytes_per_token
+        out_s = kv_swap_time_s(bytes_out, self.system.config.link,
+                               pp_stages=state.plan.pp_stages)
+        victim.num_swap_outs += 1
+        victim.swap_time_s += out_s
+        victim.swap_bytes += bytes_out
+        # The transfer queues behind any still-draining one.
+        victim.swap_done_s = max(victim.swap_done_s, clock) + out_s
+        self._log_preemption(state, victim, "prefix", bytes=bytes_out)
 
     # ------------------------------------------------------------- migration
 

@@ -78,6 +78,39 @@ class TestPerformanceModel:
         assert token.pim_ns == pytest.approx(block.breakdown.pim_ns * small_model_m.num_layers)
 
 
+METAMORPHIC_CONTEXTS = (1, 16, 17, 255, 256, 257, 1024, 2048)
+METAMORPHIC_CHANNELS = (2, 4, 8, 16)
+
+
+@pytest.mark.parametrize("model_name", ["small-llama", "Llama2-7B"])
+class TestBlockCostMetamorphic:
+    """Relations between block costs, needing no reference value: a longer
+    context never makes a block cheaper, more channels never make its PIM
+    work slower.  Each point is the PIM/PNM part ``block_cost`` reports
+    for a block on that many FC and attention channels."""
+
+    @pytest.fixture
+    def table(self, performance, small_model_m, model_name):
+        model = small_model_m if model_name == "small-llama" else LLAMA2_7B
+        return {(channels, context): performance._simulate_block(
+                    model, context, channels, channels).breakdown
+                for channels in METAMORPHIC_CHANNELS
+                for context in METAMORPHIC_CONTEXTS}
+
+    def test_latency_does_not_decrease_with_context(self, table):
+        for channels in METAMORPHIC_CHANNELS:
+            totals = [table[channels, context].pim_ns
+                      + table[channels, context].pnm_ns
+                      for context in METAMORPHIC_CONTEXTS]
+            assert totals == sorted(totals), channels
+
+    def test_pim_time_does_not_increase_with_channels(self, table):
+        for context in METAMORPHIC_CONTEXTS:
+            pim = [table[channels, context].pim_ns
+                   for channels in METAMORPHIC_CHANNELS]
+            assert pim == sorted(pim, reverse=True), context
+
+
 class TestInferenceSimulator:
     def test_simulation_shapes(self, config, performance, small_model_m):
         simulator = InferenceSimulator(config, performance)

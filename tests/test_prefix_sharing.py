@@ -18,7 +18,8 @@ from repro.kvstore import BlockPool, KvAllocator
 from repro.models.config import ModelConfig
 from repro.models.memory import ModelMemoryProfile
 from repro.serving import RequestState, ServingEngine
-from repro.telemetry import TraceRecorder
+from repro.telemetry import TraceRecorder, attribute_run
+from repro.telemetry.attribution import verify_conservation
 from repro.workloads import (
     Query,
     poisson_arrivals,
@@ -191,6 +192,58 @@ class TestPrefixChains:
         assert alloc.shared_key("a") is None
         assert alloc.release("a") == 100
 
+    def test_dissolve_returns_chain_to_its_only_reader(self):
+        pool, alloc = self.make()
+        assert alloc.allocate("a", 100)          # 7 blocks
+        assert alloc.register_prefix(("t", 40), 40, "a")
+        assert pool.used_blocks == 8             # + the tail snapshot
+        assert alloc.dissolve_prefix("a") == 1   # the snapshot comes back
+        assert ("t", 40) not in pool.prefix_chains
+        assert alloc.shared_key("a") is None
+        assert alloc.holds_resident_blocks("a") == 7 == pool.used_blocks
+        assert alloc.holds_blocks("a") == pool.blocks_for(100)
+        assert alloc.grow("a", 112)              # fills block 7 in place
+        assert alloc.release("a") == 112 and pool.used_blocks == 0
+
+    def test_dissolve_refuses_a_chain_others_read(self):
+        pool, alloc = self.make()
+        assert alloc.allocate("a", 100)
+        assert alloc.register_prefix(("t", 40), 40, "a")
+        assert alloc.allocate("b", 100, prefix=("t", 40))
+        with pytest.raises(ValueError, match="2 readers"):
+            alloc.dissolve_prefix("a")
+        with pytest.raises(ValueError, match="no shared allocation"):
+            alloc.dissolve_prefix("c")
+
+    def test_unpin_releases_a_parked_pin(self):
+        pool, alloc = self.make()
+        assert alloc.allocate("a", 100)
+        assert alloc.register_prefix(("t", 40), 40, "a")
+        alloc.release("a", keep_prefix=True)     # parked, pin kept
+        assert alloc.unpin_prefix("a") == 2      # full blocks it read
+        assert alloc.shared_key("a") is None
+        assert [c.key for c in alloc.evictable_prefixes()] == [("t", 40)]
+        alloc.evict_prefix(("t", 40))
+        assert pool.used_blocks == 0
+        assert alloc.allocate("a", 100)          # resumes privately
+        assert alloc.holds_resident_blocks("a") == 7
+
+    def test_unpin_of_a_staged_park_counts_prefix_as_staged(self):
+        pool, alloc = self.make()
+        assert alloc.allocate("a", 100)
+        assert alloc.register_prefix(("t", 40), 40, "a")
+        assert alloc.allocate("b", 100, prefix=("t", 40))
+        alloc.evict_blocks("b", 2)               # block-granular park
+        assert alloc.unpin_prefix("b") == 2
+        assert alloc.holds_swapped_blocks("b") == 4
+        assert pool.swapped_blocks == 4
+        assert alloc.holds_blocks("b") == pool.blocks_for(100)
+        assert pool.prefix_get(("t", 40)).refcount == 1
+        assert alloc.readmit("b")
+        assert alloc.holds_resident_blocks("b") == 7
+        with pytest.raises(ValueError, match="not attached"):
+            alloc.unpin_prefix("b")
+
 
 # ------------------------------------------------------------------ workload
 
@@ -342,6 +395,67 @@ class TestEnginePrefixSharing:
         for request in run.requests:
             assert request.state is RequestState.FINISHED
             assert request.first_token_time_s is not None
+
+
+class TestOneRequestPool:
+    """A KV pool that holds about one request (weights + 512 tokens).
+
+    With sharing on, the lone runner left after its co-runners are evicted
+    used to wedge: parked readers pinned their chains, and the runner's own
+    chain cost a tail-snapshot block more than the same KV held privately,
+    so its growth found nothing to evict ("serving engine stalled")."""
+
+    def run(self, system, small_model, **kwargs):
+        engine = ServingEngine(
+            system, admission="paged",
+            memory_capacity_bytes=tight_capacity(small_model, queries=1),
+            **kwargs)
+        return engine.run(prefix_trace(count=150, rate=8.0))
+
+    @pytest.mark.parametrize("restore", ["swap", "recompute"])
+    def test_sharing_completes_like_no_sharing(self, system, small_model,
+                                               restore):
+        shared = self.run(system, small_model, preemption_restore=restore)
+        fresh = self.run(system, small_model, preemption_restore=restore,
+                         prefix_sharing=False)
+        assert fresh.num_preemptions == 3
+        assert shared.num_completed == fresh.num_completed > 0
+        assert shared.num_rejected == fresh.num_rejected
+        assert shared.num_prefix_hits > 0
+
+    def test_block_granular_swap_completes(self, system, small_model):
+        result = self.run(system, small_model, preemption_restore="swap",
+                          preemption_partial_blocks=4)
+        fresh = self.run(system, small_model, preemption_restore="swap",
+                         preemption_partial_blocks=4, prefix_sharing=False)
+        assert result.num_completed == fresh.num_completed
+
+    def test_traced_run_matches_and_conserves(self, system, small_model):
+        engine = ServingEngine(
+            system, admission="paged",
+            memory_capacity_bytes=tight_capacity(small_model, queries=1))
+        trace = prefix_trace(count=150, rate=8.0)
+        plain = engine.simulate(trace)
+        traced = engine.simulate(trace, telemetry=TraceRecorder())
+        assert traced.preemption_log == plain.preemption_log
+        assert [(r.finish_time_s, r.stall_s, r.swap_time_s)
+                for r in traced.requests] \
+            == [(r.finish_time_s, r.stall_s, r.swap_time_s)
+                for r in plain.requests]
+        verify_conservation(attribute_run(traced))
+
+    @pytest.mark.parametrize("restore", ["swap", "recompute"])
+    def test_fast_forward_matches_stepping(self, system, small_model,
+                                           restore):
+        capacity = tight_capacity(small_model, queries=1)
+        trace = prefix_trace(count=150, rate=8.0)
+        fast = ServingEngine(system, admission="paged",
+                             memory_capacity_bytes=capacity,
+                             preemption_restore=restore)
+        stepped = ServingEngine(system, admission="paged",
+                                memory_capacity_bytes=capacity,
+                                preemption_restore=restore, vectorize=False)
+        assert run_fingerprint(fast, trace) == run_fingerprint(stepped, trace)
 
 
 # ------------------------------------------------------------------ migration

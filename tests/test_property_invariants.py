@@ -206,6 +206,20 @@ def test_kv_blocks_conserved_across_preemption_and_swap(num_blocks, ops):
                 assert allocators[source].release(owner) == current
                 held[owner] = (destination, current)
 
+        elif kind == "dissolve" and owner in held:
+            where = held[owner][0]
+            chain_key = allocators[where].shared_key(owner)
+            if (chain_key is not None and
+                    pools[where].prefix_chains[chain_key].refcount == 1):
+                allocators[where].dissolve_prefix(owner, now_s=clock)
+        elif kind == "unpin" and owner in parked:
+            allocators[parked.pop(owner)].unpin_prefix(owner, now_s=clock)
+        elif (kind == "unpin" and owner in held
+                and allocators[held[owner][0]].shared_key(owner) is not None):
+            # A held owner stands for a block-granular park: its prefix
+            # blocks turn host-staged.
+            allocators[held[owner][0]].unpin_prefix(owner, now_s=clock)
+
         # ---- the conservation laws, after every single operation ----
         for side, (pool, allocator) in enumerate(zip(pools, allocators,
                                                      strict=True)):
@@ -236,12 +250,14 @@ def prefix_op_sequences(draw):
     """Random lifecycles over shared prefix chains: fresh allocations,
     cache-hit attaches, promote-on-prefill registrations, growth, swap,
     preemption parking (release keeping the chain pin), pinned resumption,
-    chain eviction and cross-pool migration."""
+    chain eviction, cross-pool migration, a lone reader dissolving its chain
+    and a pin dropped by its holder."""
     ops = []
     for _ in range(draw(st.integers(min_value=1, max_value=40))):
         kind = draw(st.sampled_from(
             ["allocate", "attach", "grow", "evict", "readmit", "park",
-             "resume", "release", "register", "chain_evict", "migrate"]))
+             "resume", "release", "register", "chain_evict", "migrate",
+             "dissolve", "unpin"]))
         owner = draw(st.integers(min_value=0, max_value=4))
         key = draw(st.integers(min_value=0, max_value=2))
         tokens = draw(st.integers(min_value=1, max_value=200))
@@ -321,6 +337,20 @@ def test_prefix_chain_blocks_and_refcounts_conserved(num_blocks, ops):
             if allocators[destination].allocate(owner, current, now_s=clock):
                 assert allocators[source].release(owner, now_s=clock) == current
                 held[owner] = (destination, current)
+
+        elif kind == "dissolve" and owner in held:
+            where = held[owner][0]
+            chain_key = allocators[where].shared_key(owner)
+            if (chain_key is not None and
+                    pools[where].prefix_chains[chain_key].refcount == 1):
+                allocators[where].dissolve_prefix(owner, now_s=clock)
+        elif kind == "unpin" and owner in parked:
+            allocators[parked.pop(owner)].unpin_prefix(owner, now_s=clock)
+        elif (kind == "unpin" and owner in held
+                and allocators[held[owner][0]].shared_key(owner) is not None):
+            # A held owner stands for a block-granular park: its prefix
+            # blocks turn host-staged.
+            allocators[held[owner][0]].unpin_prefix(owner, now_s=clock)
 
         # ---- the conservation laws, after every single operation ----
         for where, (pool, allocator) in enumerate(zip(pools, allocators,
