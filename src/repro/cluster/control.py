@@ -20,10 +20,10 @@ measured signals the serving engine already records:
   projected goodput gain over the lookahead horizon beats the migration
   stall — priced as the time the rebuilt replicas spend reloading model
   weights through the CXL link model
-  (:func:`~repro.kvstore.preemption.kv_swap_time_s`) — by the configured
-  margin.  Replicas whose shape survives a re-placement keep their engine
-  state; dismantled replicas hand their unfinished requests to the new
-  replica set.
+  (:func:`~repro.kvstore.preemption.kv_swap_time_s`) — by a fixed margin
+  (:data:`HYSTERESIS`).  Replicas whose shape survives a re-placement keep
+  their engine state; dismantled replicas hand their unfinished requests to
+  the new replica set.
 
 * **Live KV migration** — with ``migration="live"`` (the default) a
   dismantled replica's in-flight requests keep their progress: each one's
@@ -38,9 +38,12 @@ measured signals the serving engine already records:
   replica from scratch (arrival time still original).  Requests that have
   made no progress yet restart under both modes — they have no KV to move.
 
-``rebalance="off"`` (the default everywhere) bypasses this module entirely
-and runs the single-shot PR-2 path, bit-exactly; ``migration="restart"``
-reproduces the pre-live-migration closed loop bit-exactly.
+Every cluster run goes through :class:`ClusterControlLoop`.  The open loop
+(``rebalance="off"``, the default everywhere) is the loop with zero epochs:
+its safety valve routes the whole merged stream in one window against the
+uncorrected backlog model and drains every replica, with no feedback and
+no re-placement.  ``migration="restart"`` reproduces the
+pre-live-migration closed loop bit-exactly.
 """
 
 from __future__ import annotations
@@ -78,11 +81,28 @@ __all__ = [
     "weight_reload_time_s",
 ]
 
-#: Supported re-placement modes of the closed loop.
+#: ``ClusterEngine.run`` modes: ``"off"`` is the open loop (zero epochs),
+#: ``"epoch"`` the closed loop.
 REBALANCE_MODES = ("off", "epoch")
 
 #: What happens to a dismantled replica's in-flight requests.
 MIGRATION_MODES = ("restart", "live")
+
+#: A re-placement is applied only when its projected token gain exceeds
+#: ``(1 + HYSTERESIS)`` times the migration cost.
+HYSTERESIS = 0.25
+
+#: Epochs that must pass after a rebalance before the next proposal is even
+#: considered (cooldown against thrash).
+MIN_EPOCHS_BETWEEN = 1
+
+#: Horizon (in epochs) the projected gain of a proposal is priced over:
+#: observed demand is assumed to persist roughly this long.
+LOOKAHEAD_EPOCHS = 2
+
+#: EWMA weight of the newest measured replica token rate (and of the newest
+#: epoch's arrival rate in the predicted-rate gauge).
+FEEDBACK_ALPHA = 0.5
 
 
 def weight_reload_time_s(spec: ReplicaSpec, link) -> float:
@@ -99,74 +119,39 @@ def weight_reload_time_s(spec: ReplicaSpec, link) -> float:
 
 @dataclass(frozen=True)
 class ControlConfig:
-    """Knobs of the closed-loop controller.
+    """Knobs of the cluster control loop.
 
     Parameters
     ----------
     epoch_s:
         Control interval: replicas pause, feedback re-anchors the router,
         and the rebalancer may act, every this many simulated seconds.
-    rebalance:
-        ``"epoch"`` re-places at epoch boundaries; ``"off"`` keeps the
-        initial placement (feedback routing still applies when enabled).
     migration:
         ``"live"`` (default) swaps a dismantled replica's in-flight KV
         through host memory onto the new replica set, so requests resume
         at their original progress; ``"restart"`` re-runs them from
         scratch (the pre-live behaviour, kept bit-exact for regression
         comparisons).
-    routing_feedback:
-        Feed measured backlog/rate back into the router at every epoch
-        boundary.  ``False`` keeps the open-loop backlog model (ablation).
-    hysteresis:
-        A re-placement is applied only when its projected token gain
-        exceeds ``(1 + hysteresis)`` times the migration cost.
-    min_epochs_between:
-        Epochs that must pass after a rebalance before the next proposal is
-        even considered (cooldown against thrash).
-    lookahead_epochs:
-        Horizon (in epochs) the projected gain of a proposal is priced
-        over: observed demand is assumed to persist roughly this long.
-    feedback_alpha:
-        EWMA weight of the newest measured replica token rate.
     max_epochs:
         Safety bound; a run still undrained after this many epochs is
         finished in one final unbounded segment (no further control).
+        ``0`` is the open loop: everything is routed up front and drained.
     """
 
     epoch_s: float = 20.0
-    rebalance: str = "epoch"
     migration: str = "live"
-    routing_feedback: bool = True
-    hysteresis: float = 0.25
-    min_epochs_between: int = 1
-    lookahead_epochs: int = 2
-    feedback_alpha: float = 0.5
     max_epochs: int = 10_000
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epoch_s) and self.epoch_s > 0):
             raise ValueError("epoch_s must be positive and finite")
-        if self.rebalance not in REBALANCE_MODES:
-            raise ValueError(
-                f"unknown rebalance mode {self.rebalance!r}; "
-                f"choose from {REBALANCE_MODES}"
-            )
         if self.migration not in MIGRATION_MODES:
             raise ValueError(
                 f"unknown migration mode {self.migration!r}; "
                 f"choose from {MIGRATION_MODES}"
             )
-        if not (math.isfinite(self.hysteresis) and self.hysteresis >= 0):
-            raise ValueError("hysteresis must be non-negative and finite")
-        if self.min_epochs_between < 0:
-            raise ValueError("min_epochs_between must be non-negative")
-        if self.lookahead_epochs <= 0:
-            raise ValueError("lookahead_epochs must be positive")
-        if not 0 < self.feedback_alpha <= 1:
-            raise ValueError("feedback_alpha must be in (0, 1]")
-        if self.max_epochs <= 0:
-            raise ValueError("max_epochs must be positive")
+        if self.max_epochs < 0:
+            raise ValueError("max_epochs must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -241,7 +226,7 @@ class RebalancePolicy:
         Proposes the placer's apportionment under *observed* demand weights,
         prices the migration, and applies hysteresis: hold unless the
         projected gain over the lookahead horizon beats the stall cost by
-        the configured margin.
+        the :data:`HYSTERESIS` margin.
         """
         weights = {t.name: max(demand_tokens_per_s.get(t.name, 0.0), 0.0)
                    for t in tenants}
@@ -271,14 +256,14 @@ class RebalancePolicy:
             return None
 
         stall_s = max(weight_reload_time_s(spec, self.link) for spec in rebuilt)
-        horizon_s = self.config.lookahead_epochs * self.config.epoch_s
+        horizon_s = LOOKAHEAD_EPOCHS * self.config.epoch_s
         gain_tokens = gain_rate * horizon_s
         # Conservative: while the rebuilt replicas reload, price the whole
         # proposal's delivery as foregone (carried replicas keep serving, so
         # the true loss is smaller; overpricing is the safe direction for a
         # stall we cannot undo).
         cost_tokens = stall_s * new_rate
-        if gain_tokens <= (1.0 + self.config.hysteresis) * cost_tokens:
+        if gain_tokens <= (1.0 + HYSTERESIS) * cost_tokens:
             return None
         return RebalanceDecision(
             placement=proposal,
@@ -336,8 +321,7 @@ class ClusterControlLoop:
     Owns the run: initial placement, per-epoch routing (with feedback),
     segmented engine advancement, re-placement, migration, and the final
     :class:`~repro.core.results.ClusterResult` aggregation.  Constructed by
-    ``ClusterEngine.run(rebalance=...)``; not normally instantiated
-    directly.
+    every ``ClusterEngine.run``; not normally instantiated directly.
     """
 
     def __init__(self, cluster, config: ControlConfig, *,
@@ -382,8 +366,11 @@ class ClusterControlLoop:
         planning = [q for name in spec.tenant_names
                     for q in by_name[name].trace]
         scope = self._replica_scope(spec)
+        # A time-shared replica judges the sla_deadline preemption policy's
+        # slack against its strictest member tenant's SLO.
         state = engine.begin(
-            [], sla_latency_s=cluster._replica_sla_s(spec),
+            [], sla_latency_s=min(by_name[name].latency_slo_s
+                                  for name in spec.tenant_names),
             planning_trace=planning, telemetry=scope)
         state.clock = start_s + stall_s
         if scope is not None:
@@ -439,13 +426,13 @@ class ClusterControlLoop:
         router = RouterState()
         sla_by_name = {t.name: t.latency_slo_s for t in tenants}
 
-        # The merged offered stream, in arrival order (ties: tenant order
-        # then trace order, so runs are deterministic).
+        # The merged offered stream, in arrival order; the sort is stable,
+        # so ties keep tenant-list order, then trace order.
         items: List[Tuple[Query, str, int]] = sorted(
             ((query, tenant.name, index)
              for tenant in tenants
              for index, query in enumerate(tenant.trace)),
-            key=lambda item: (item[0].arrival_time_s, item[1], item[2]),
+            key=lambda item: item[0].arrival_time_s,
         )
         position = 0
         #: Final attempt serving each (tenant, index): (runtime, request id).
@@ -458,7 +445,7 @@ class ClusterControlLoop:
         #: the observe-only demand forecast surfaced as the
         #: ``cluster.predicted_rate_qps`` gauge.
         predicted_qps = 0.0
-        last_rebalance_epoch = -config.min_epochs_between - 1
+        last_rebalance_epoch = -MIN_EPOCHS_BETWEEN - 1
         num_rebalances = 0
         migration_stall_s = 0.0
         migration_stats = _MigrationStats()
@@ -473,14 +460,14 @@ class ClusterControlLoop:
             if epoch >= config.max_epochs:
                 # Safety valve: route everything still unrouted in one final
                 # window and drain without further control, so no offered
-                # request silently vanishes from the accounting.
+                # request silently vanishes from the accounting.  With
+                # max_epochs=0 this is the whole open-loop run.
                 tail = items[position:]
                 position = len(items)
                 plan = cluster.scheduler.route_window(
                     tenants, placement, self._service_estimator(live),
                     stream=[(query, name) for query, name, _ in tail],
-                    state=router,
-                    feedback=feedback if config.routing_feedback else None,
+                    state=router, feedback=feedback,
                     window_start_s=epoch * config.epoch_s,
                     recorder=control_rec,
                 )
@@ -512,8 +499,7 @@ class ClusterControlLoop:
                 position += 1
             plan = cluster.scheduler.route_window(
                 tenants, placement, self._service_estimator(live),
-                stream=window, state=router,
-                feedback=feedback if config.routing_feedback else None,
+                stream=window, state=router, feedback=feedback,
                 window_start_s=start_s,
                 recorder=control_rec,
             )
@@ -542,8 +528,8 @@ class ClusterControlLoop:
                 if delta > 0:
                     measured = delta / config.epoch_s
                     runtime.tokens_per_s = (
-                        config.feedback_alpha * measured
-                        + (1.0 - config.feedback_alpha) * runtime.tokens_per_s)
+                        FEEDBACK_ALPHA * measured
+                        + (1.0 - FEEDBACK_ALPHA) * runtime.tokens_per_s)
                 for request, (owner_name, _) in zip(runtime.state.requests,
                                                     runtime.feed,
                                                     strict=True):
@@ -565,8 +551,7 @@ class ClusterControlLoop:
             # ------------------------------------------------- maybe re-place
             work_left = (position < len(items)
                          or any(not rt.state.drained for rt in live.values()))
-            if (config.rebalance == "epoch" and work_left
-                    and epoch - last_rebalance_epoch > config.min_epochs_between):
+            if work_left and epoch - last_rebalance_epoch > MIN_EPOCHS_BETWEEN:
                 demand = {
                     name: (backlog_tokens[name] + arrived_tokens[name])
                     / config.epoch_s
@@ -615,8 +600,8 @@ class ClusterControlLoop:
                         outstanding_tokens=observed.outstanding_tokens,
                         tokens_per_s=runtime.tokens_per_s)
             predicted_qps = (
-                config.feedback_alpha * (len(window) / config.epoch_s)
-                + (1.0 - config.feedback_alpha) * predicted_qps)
+                FEEDBACK_ALPHA * (len(window) / config.epoch_s)
+                + (1.0 - FEEDBACK_ALPHA) * predicted_qps)
             if telemetry is not None:
                 self._record_epoch_metrics(
                     telemetry, live, archived, end_s,
@@ -924,7 +909,7 @@ class ClusterControlLoop:
                 t.name: t.offered_decode_tokens for t in tenants
             },
             busy_device_seconds=busy_device_seconds,
-            epoch_s=self.config.epoch_s,
+            epoch_s=self.config.epoch_s if epoch_rows else None,
             num_rebalances=num_rebalances,
             migration_stall_s=migration_stall_s,
             epoch_timeline=tuple(epoch_rows),

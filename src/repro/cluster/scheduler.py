@@ -15,16 +15,17 @@ Three policies:
 
 The router's view of replica load is a backlog model — each replica drains
 routed work at its estimated token rate — because a front-end cannot observe
-the engine's internal batch state.  On the open-loop :meth:`route` path that
-model runs uncorrected for the whole trace, and routing mistakes show up in
-the measured per-tenant latencies.  The closed-loop path
-(``repro.cluster.control``) instead routes one epoch at a time through
-:meth:`route_window`, carrying :class:`RouterState` across windows and
-re-anchoring the model at every epoch boundary to each replica's *measured*
-backlog and token rate (:class:`ReplicaFeedback`, distilled from the
-engine's ``queue_depth_timeline`` and per-epoch goodput) — so
-``least_outstanding`` and ``sla_deadline`` track reality under bursty
-arrivals instead of compounding the initial estimate's error.
+the engine's internal batch state.  The control loop
+(``repro.cluster.control``) routes through :meth:`route_window`, carrying
+:class:`RouterState` across windows.  On the open loop (zero epochs) one
+window holds the whole trace, so the model runs uncorrected and routing
+mistakes show up in the measured per-tenant latencies.  The closed loop
+routes one epoch at a time and re-anchors the model at every epoch boundary
+to each replica's *measured* backlog and token rate
+(:class:`ReplicaFeedback`, distilled from the engine's
+``queue_depth_timeline`` and per-epoch goodput) — so ``least_outstanding``
+and ``sla_deadline`` track reality under bursty arrivals instead of
+compounding the initial estimate's error.
 """
 
 from __future__ import annotations
@@ -80,19 +81,15 @@ class RoutingPlan:
     rejected: Dict[str, List[Query]] = field(default_factory=dict)
     accounting: Dict[str, TenantAccounting] = field(default_factory=dict)
 
-    def trace_for(self, replica_id: int) -> List[Query]:
-        return [query for _, query in self.assignments.get(replica_id, [])]
-
 
 @dataclass
 class RouterState:
-    """Router model carried across routing windows of one closed-loop run.
+    """Router model carried across the routing windows of one cluster run.
 
     ``ready_s`` is the predicted instant each replica's routed backlog
     drains; ``outstanding`` the per-tenant min-heaps of predicted finish
     times behind the admission caps; ``robin_pos`` each tenant's round-robin
-    cursor.  :meth:`ClusterScheduler.route` builds a fresh one per call, so
-    the open-loop path is unchanged by the state being externalised.
+    cursor.
     """
 
     ready_s: Dict[int, float] = field(default_factory=dict)
@@ -144,27 +141,6 @@ class ClusterScheduler:
                 f"{ROUTING_POLICIES}"
             )
         self.policy = policy
-
-    def route(
-        self,
-        tenants: Sequence[TenantSpec],
-        placement: ClusterPlacement,
-        service_estimator: ServiceEstimator,
-        *,
-        recorder: Optional["ScopedRecorder"] = None,
-    ) -> RoutingPlan:
-        """Assign every request of every tenant to one replica (or reject).
-
-        The open-loop single-pass path: the whole merged arrival stream is
-        routed against the uncorrected backlog model.
-        """
-        stream = sorted(
-            ((query, tenant.name) for tenant in tenants for query in tenant.trace),
-            key=lambda item: item[0].arrival_time_s,
-        )
-        return self.route_window(tenants, placement, service_estimator,
-                                 stream=stream, state=RouterState(),
-                                 recorder=recorder)
 
     def route_window(
         self,

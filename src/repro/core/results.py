@@ -455,7 +455,8 @@ class ClusterResult:
     #: Sum over replicas of (busy seconds x devices); busy = prefill + decode.
     busy_device_seconds: float = 0.0
     #: Epoch length of a closed-loop run (``repro.cluster.control``); ``None``
-    #: for the open-loop single-shot path, whose fields below stay empty.
+    #: when no control epoch ran (the open loop), and the fields below then
+    #: stay empty.
     epoch_s: Optional[float] = None
     #: Re-placements the control loop actually applied.
     num_rebalances: int = 0
@@ -483,11 +484,11 @@ class ClusterResult:
     restored_progress_tokens: int = 0
     #: One :class:`~repro.telemetry.MetricsSnapshot` per control epoch when
     #: the run was traced (``telemetry=`` on :meth:`ClusterEngine.run`);
-    #: empty for untraced and open-loop runs.
+    #: empty for untraced runs and for the open loop (no epochs).
     metrics_timeline: Tuple[MetricsSnapshot, ...] = ()
     #: Alerts the :class:`~repro.telemetry.slo.SloMonitor` raised while the
-    #: run was traced; empty (and no rules evaluated) for untraced and
-    #: open-loop runs.
+    #: run was traced; empty (and no rules evaluated) for untraced runs and
+    #: for the open loop (no epoch snapshots to evaluate).
     alert_log: AlertLog = AlertLog()
 
     def __post_init__(self) -> None:

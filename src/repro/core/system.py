@@ -125,11 +125,14 @@ class CentSystem:
         ``rebalance="epoch"`` (or an explicit
         :class:`~repro.cluster.control.ControlConfig` via ``control``) runs
         the closed loop: epoch-segmented serving with backlog-feedback
-        routing and observed-demand re-placement; the default ``"off"`` is
-        the open-loop single-shot path.  ``migration`` selects what happens
-        to a dismantled replica's in-flight requests on re-placement:
-        ``"live"`` (default) swaps their KV through host memory so they
-        resume at their original progress, ``"restart"`` re-runs them.
+        routing and observed-demand re-placement.  The default ``"off"`` is
+        the open loop, the same control loop run with zero epochs: the
+        whole trace is routed once and every replica drains.  ``epoch_s``
+        sets the closed loop's control interval; ``migration`` selects what
+        happens to a dismantled replica's in-flight requests on
+        re-placement: ``"live"`` (default) swaps their KV through host
+        memory so they resume at their original progress, ``"restart"``
+        re-runs them.  Both are rejected on the open loop.
         """
         # Imported here: repro.cluster builds on repro.core.system.
         from repro.cluster.engine import ClusterEngine

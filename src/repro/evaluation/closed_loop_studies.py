@@ -11,9 +11,10 @@ the pool toward the bursting tenant (paying the weight-reload stall), and
 routes on measured rather than modelled backlog — delivering more
 SLA-compliant tokens from the same pool.
 
-``rebalance="off"`` runs the identical mix through the PR-2 open-loop path
-twice and checks the results are bit-exact, so the study doubles as the
-regression guard for the legacy path.
+``rebalance="off"`` runs the identical mix through the open loop (the same
+control loop with zero epochs) twice and checks the results are bit-exact,
+so the study doubles as a run-to-run determinism guard for the static
+baseline.
 
 :func:`migration_study` reuses the same calibrated mix to isolate what
 live KV migration buys: the closed loop is run twice, once with
@@ -133,7 +134,7 @@ def closed_loop_study(
 
     Returns per-mode rows, the closed-loop goodput gain, and
     ``static_bit_exact`` — whether two open-loop runs of the mix agree
-    exactly (the PR-2 path regression check).  A ``telemetry`` recorder,
+    exactly (the static baseline's determinism check).  A ``telemetry`` recorder,
     when given, traces the closed-loop run (the static runs stay
     untraced); recording never changes the simulated outcome.
     """

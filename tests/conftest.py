@@ -56,3 +56,19 @@ def small_model() -> ModelConfig:
 def small_config() -> CentConfig:
     """A 4-device CENT configuration with few context samples."""
     return CentConfig(num_devices=4, context_samples=2)
+
+
+@pytest.fixture
+def route_all():
+    """Route every tenant's whole trace in one window — the open loop's
+    routing pass: the merged stream in arrival order (ties keep tenant-list
+    order, then trace order) against a fresh backlog model."""
+    from repro.cluster import RouterState
+
+    def route(scheduler, tenants, placement, estimator):
+        stream = sorted(((query, tenant.name)
+                         for tenant in tenants for query in tenant.trace),
+                        key=lambda item: item[0].arrival_time_s)
+        return scheduler.route_window(tenants, placement, estimator,
+                                      stream=stream, state=RouterState())
+    return route

@@ -175,32 +175,32 @@ class TestScheduler:
                                 replicas=self._replicas(model, count),
                                 tenant_devices={"t": count})
 
-    def test_round_robin_cycles(self, small_model):
+    def test_round_robin_cycles(self, small_model, route_all):
         tenant = make_tenant("t", count=9, rate=100.0, model=small_model)
-        plan = ClusterScheduler("round_robin").route(
-            [tenant], self._placement(small_model, 3), lambda r, q: 0.1)
+        plan = route_all(ClusterScheduler("round_robin"),
+                         [tenant], self._placement(small_model, 3), lambda r, q: 0.1)
         sizes = sorted(len(v) for v in plan.assignments.values())
         assert sizes == [3, 3, 3]
 
-    def test_least_outstanding_balances(self, small_model):
+    def test_least_outstanding_balances(self, small_model, route_all):
         tenant = make_tenant("t", count=30, rate=1000.0, model=small_model)
-        plan = ClusterScheduler("least_outstanding").route(
-            [tenant], self._placement(small_model, 3), lambda r, q: 0.05)
+        plan = route_all(ClusterScheduler("least_outstanding"),
+                         [tenant], self._placement(small_model, 3), lambda r, q: 0.05)
         sizes = [len(v) for v in plan.assignments.values()]
         assert sum(sizes) == 30
         assert max(sizes) - min(sizes) <= 1
 
-    def test_admission_cap_rejects_excess(self, small_model):
+    def test_admission_cap_rejects_excess(self, small_model, route_all):
         queries = [Query(64, 32, arrival_time_s=0.0) for _ in range(6)]
         tenant = TenantSpec("t", model=small_model, trace=queries, max_outstanding=2)
-        plan = ClusterScheduler("least_outstanding").route(
-            [tenant], self._placement(small_model, 1), lambda r, q: 10.0)
+        plan = route_all(ClusterScheduler("least_outstanding"),
+                         [tenant], self._placement(small_model, 1), lambda r, q: 10.0)
         assert plan.accounting["t"].routed == 2
         assert plan.accounting["t"].rejected == 4
         assert len(plan.rejected["t"]) == 4
         assert plan.accounting["t"].admitted_fraction == pytest.approx(2 / 6)
 
-    def test_sla_deadline_prefers_meeting_replicas(self, small_model):
+    def test_sla_deadline_prefers_meeting_replicas(self, small_model, route_all):
         # Replica 0 is slow (never meets the 1 s SLO), replica 1 is fast:
         # the deadline-aware router must send traffic to the fast one, while
         # round robin would alternate.
@@ -210,7 +210,8 @@ class TestScheduler:
         def estimator(r, q):
             return 5.0 if r.replica_id == 0 else 0.01
 
-        plan = ClusterScheduler("sla_deadline").route([tenant], placement, estimator)
+        plan = route_all(ClusterScheduler("sla_deadline"), [tenant], placement,
+                         estimator)
         assert len(plan.assignments[1]) == 10
         assert len(plan.assignments[0]) == 0
 

@@ -1,5 +1,6 @@
 """Tests for closed-loop cluster control and segmented serving runs."""
 
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.cluster.control as cluster_control
 from repro.cluster import (
     MIGRATION_MODES,
     ClusterEngine,
@@ -23,6 +25,7 @@ from repro.cluster import (
 )
 from repro.cluster.placement import ClusterPlacement, ReplicaSpec
 from repro.core.config import CentConfig
+from repro.core.results import LatencyStats
 from repro.core.system import CentSystem
 from repro.evaluation import closed_loop_study
 from repro.models.config import ModelConfig
@@ -59,9 +62,9 @@ def timed_trace(count, rate, seed=1, **kwargs):
 class TestControlConfig:
     def test_defaults_valid(self):
         config = ControlConfig()
-        assert config.rebalance == "epoch"
         assert config.migration == "live"
-        assert config.routing_feedback
+        assert config.max_epochs > 0
+        assert ControlConfig(max_epochs=0).max_epochs == 0  # the open loop
         assert MIGRATION_MODES == ("restart", "live")
 
     @pytest.mark.parametrize("kwargs", [
@@ -76,10 +79,14 @@ class TestControlConfig:
         {"lookahead_epochs": 0},
         {"feedback_alpha": 0.0},
         {"feedback_alpha": 1.5},
-        {"max_epochs": 0},
+        {"max_epochs": -1},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        """Bad values of the three fields raise ValueError; the knobs that
+        became module constants (rebalance, hysteresis, cooldown, lookahead,
+        feedback weight) are unknown keywords now and raise TypeError."""
+        known = {f.name for f in dataclasses.fields(ControlConfig)}
+        with pytest.raises(ValueError if set(kwargs) <= known else TypeError):
             ControlConfig(**kwargs)
 
     def test_unknown_rebalance_mode_on_run(self, small_model):
@@ -135,7 +142,7 @@ def make_placement(model, tenant_names, sizes):
 
 
 class TestFeedbackRouting:
-    def test_feedback_reanchors_backlog(self, small_model):
+    def test_feedback_reanchors_backlog(self, small_model, route_all):
         """A replica the open-loop model thinks idle but that measures a deep
         backlog must lose least_outstanding traffic after feedback."""
         trace = timed_trace(6, 100.0)
@@ -147,7 +154,7 @@ class TestFeedbackRouting:
             return 0.01
 
         # Open loop: traffic alternates between the two replicas.
-        open_plan = scheduler.route([tenant], placement, estimator)
+        open_plan = route_all(scheduler, [tenant], placement, estimator)
         assert open_plan.assignments[0] and open_plan.assignments[1]
 
         # Closed loop: replica 0 reports a huge measured backlog.
@@ -162,7 +169,7 @@ class TestFeedbackRouting:
         assert not closed_plan.assignments[0]
         assert len(closed_plan.assignments[1]) == len(trace)
 
-    def test_route_window_carries_state(self, small_model):
+    def test_route_window_carries_state(self, small_model, route_all):
         """Two windows routed with carried state equal one open-loop pass."""
         trace = timed_trace(10, 50.0)
         tenant = TenantSpec("t", model=small_model, trace=trace)
@@ -172,7 +179,7 @@ class TestFeedbackRouting:
         def estimator(spec, query):
             return query.total_context / 1000.0
 
-        whole = scheduler.route([tenant], placement, estimator)
+        whole = route_all(scheduler, [tenant], placement, estimator)
 
         state = RouterState()
         split = len(trace) // 2
@@ -187,7 +194,7 @@ class TestFeedbackRouting:
             joined = first.assignments[replica_id] + second.assignments[replica_id]
             assert joined == whole.assignments[replica_id]
 
-    def test_admission_cap_carries_across_windows(self, small_model):
+    def test_admission_cap_carries_across_windows(self, small_model, route_all):
         trace = timed_trace(8, 1000.0)
         tenant = TenantSpec("t", model=small_model, trace=trace,
                             max_outstanding=2)
@@ -197,7 +204,7 @@ class TestFeedbackRouting:
         def estimator(spec, query):
             return 1e6  # nothing ever drains
 
-        whole = scheduler.route([tenant], placement, estimator)
+        whole = route_all(scheduler, [tenant], placement, estimator)
         state = RouterState()
         ordered = sorted(trace, key=lambda q: q.arrival_time_s)
         windows = [ordered[:3], ordered[3:5], ordered[5:]]
@@ -211,7 +218,7 @@ class TestFeedbackRouting:
         assert routed == whole.accounting["t"].routed == 2
         assert rejected == whole.accounting["t"].rejected == len(trace) - 2
 
-    def test_empty_replica_list_raises_clear_error(self, small_model):
+    def test_empty_replica_list_raises_clear_error(self, small_model, route_all):
         """Regression: a tenant whose replica list is empty must fail loudly,
         not have its requests silently dropped or die on a bare KeyError."""
         served = TenantSpec("served", model=small_model, trace=timed_trace(2, 5.0))
@@ -221,7 +228,8 @@ class TestFeedbackRouting:
         placement = make_placement(small_model, [("served",)], [2])
         scheduler = ClusterScheduler("least_outstanding")
         with pytest.raises(ValueError, match="no replica serves tenant 'orphan'"):
-            scheduler.route([served, orphan], placement, lambda spec, q: 0.1)
+            route_all(scheduler, [served, orphan], placement,
+                      lambda spec, q: 0.1)
 
 
 # ------------------------------------------------------------------ rebalance
@@ -232,8 +240,8 @@ class TestRebalancePolicy:
     def capability(names, devices):
         return 100.0 * devices
 
-    def make_policy(self, small_model, **overrides):
-        config = ControlConfig(epoch_s=10.0, **overrides)
+    def make_policy(self, small_model):
+        config = ControlConfig(epoch_s=10.0)
         placer = ClusterPlacer("proportional")
         link = CentConfig(num_devices=4).link
         return RebalancePolicy(config, placer=placer,
@@ -266,15 +274,16 @@ class TestRebalancePolicy:
         assert decision.stall_s > 0
         assert decision.rebuilt_replica_ids
 
-    def test_hysteresis_blocks_marginal_gains(self, small_model):
-        eager = self.make_policy(small_model, hysteresis=0.0)
+    def test_hysteresis_blocks_marginal_gains(self, small_model, monkeypatch):
+        policy = self.make_policy(small_model)
         tenants = self.make_tenants(small_model)
-        current = eager.placer.place(tenants, 6, weights={"a": 1.0, "b": 1.0})
+        current = policy.placer.place(tenants, 6, weights={"a": 1.0, "b": 1.0})
         # Demand slightly above the even split: the shift gains a little.
         demand = {"a": 320.0, "b": 280.0}
-        moved = eager.decide(tenants, 6, current, demand)
-        wary = self.make_policy(small_model, hysteresis=1e6)
-        held = wary.decide(tenants, 6, current, demand)
+        monkeypatch.setattr(cluster_control, "HYSTERESIS", 0.0)
+        moved = policy.decide(tenants, 6, current, demand)
+        monkeypatch.setattr(cluster_control, "HYSTERESIS", 1e6)
+        held = policy.decide(tenants, 6, current, demand)
         assert held is None
         # The eager policy may or may not move on this margin, but a zero
         # hysteresis can never be stricter than an enormous one.
@@ -782,6 +791,52 @@ class TestClosedLoop:
         assert legacy.num_rebalances == 0
         assert legacy.epoch_timeline == ()
 
+    def test_open_loop_matches_one_engine_on_a_shared_replica(self, small_model):
+        """Oracle for the open loop: two same-model tenants time-sharing one
+        replica, every arrival tied at 0, listed out of name order.  The
+        merged stream keeps tenant-list order on ties, so the replica serves
+        exactly what ``ServingEngine.simulate`` serves on ``zeta``'s trace
+        followed by ``alpha``'s."""
+        zeta = TenantSpec("zeta", model=small_model, sla_latency_s=5.0, trace=[
+            Query(q.prompt_tokens, q.decode_tokens, arrival_time_s=0.0)
+            for q in sharegpt_like_queries(8, seed=21)])
+        alpha = TenantSpec("alpha", model=small_model, sla_latency_s=3.0, trace=[
+            Query(q.prompt_tokens, q.decode_tokens, arrival_time_s=0.0)
+            for q in sharegpt_like_queries(8, seed=22)])
+        config = CentConfig(num_devices=4, context_samples=2)
+        result = ClusterEngine(config, [zeta, alpha], share_replicas=True,
+                               context_step=512).run()
+        devices = result.devices_used
+        assert result.tenant_devices == {"zeta": devices, "alpha": devices}
+
+        oracle = ServingEngine(CentSystem(config.scaled(devices), small_model),
+                               context_step=512).simulate(
+            zeta.trace + alpha.trace, sla_latency_s=3.0)
+        assert result.makespan_s == oracle.makespan_s
+        split = len(zeta.trace)
+        for tenant, requests in (("zeta", oracle.requests[:split]),
+                                 ("alpha", oracle.requests[split:])):
+            served = result.tenant_results[tenant]
+            assert served.num_completed == len(requests)
+            assert served.ttft == LatencyStats.from_samples(
+                [r.ttft_s for r in requests])
+            assert served.query_latency == LatencyStats.from_samples(
+                [r.latency_s for r in requests])
+            assert served.tbt == LatencyStats.from_samples(
+                [t for r in requests for t in r.tbt_samples_s])
+
+    def test_open_loop_rejects_epoch_s(self, small_model):
+        """epoch_s only means something to the closed loop: both entry
+        points refuse it on the open loop instead of dropping it."""
+        tenants = [TenantSpec("t", model=small_model, trace=timed_trace(3, 5.0))]
+        config = CentConfig(num_devices=2, context_samples=2)
+        with pytest.raises(ValueError, match="epoch_s only applies"):
+            ClusterEngine(config, tenants, context_step=512).run(
+                rebalance="off", epoch_s=1.0)
+        with pytest.raises(ValueError, match="epoch_s only applies"):
+            CentSystem(config, small_model).serve_cluster(
+                tenants, epoch_s=2.0, context_step=512)
+
     def test_closed_loop_conserves_requests(self, small_model):
         study = closed_loop_study(model=small_model, num_devices=6,
                                   queries_per_tenant=30, context_samples=2)
@@ -840,12 +895,12 @@ class TestClosedLoop:
                                       context_step=512)
         assert result.epoch_s == 0.5
         assert result.num_rebalances >= 0
-        control = ControlConfig(epoch_s=0.5, rebalance="off",
-                                routing_feedback=True)
-        ablation = system.serve_cluster(tenants, control=control,
+        explicit = system.serve_cluster(tenants, control=ControlConfig(epoch_s=0.5),
                                         context_step=512)
-        assert ablation.num_rebalances == 0
-        assert ablation.epoch_s == 0.5
+        assert explicit == result
+        open_loop = system.serve_cluster(tenants, context_step=512)
+        assert open_loop.epoch_s is None
+        assert open_loop.num_rebalances == 0
 
     def test_aliased_query_objects_are_all_accounted(self, small_model):
         """Regression: a trace aliasing one Query object many times must not

@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import CentConfig
 from repro.core.inference import InferenceSimulator
 from repro.core.performance import PerformanceModel
+from repro.dram.channel import DRAMChannel
 from repro.mapping.parallelism import PipelineParallel, TensorParallel
 from repro.models.config import LLAMA2_7B
 
@@ -86,29 +87,41 @@ METAMORPHIC_CHANNELS = (2, 4, 8, 16)
 class TestBlockCostMetamorphic:
     """Relations between block costs, needing no reference value: a longer
     context never makes a block cheaper, more channels never make its PIM
-    work slower.  Each point is the PIM/PNM part ``block_cost`` reports
-    for a block on that many FC and attention channels."""
+    work slower, and no block streams its weights and KV faster than the
+    channels' peak internal bandwidth.  Each point is the ``BlockCost`` of
+    a block on that many FC and attention channels."""
 
     @pytest.fixture
     def table(self, performance, small_model_m, model_name):
         model = small_model_m if model_name == "small-llama" else LLAMA2_7B
         return {(channels, context): performance._simulate_block(
-                    model, context, channels, channels).breakdown
+                    model, context, channels, channels)
                 for channels in METAMORPHIC_CHANNELS
                 for context in METAMORPHIC_CONTEXTS}
 
     def test_latency_does_not_decrease_with_context(self, table):
         for channels in METAMORPHIC_CHANNELS:
-            totals = [table[channels, context].pim_ns
-                      + table[channels, context].pnm_ns
+            totals = [table[channels, context].breakdown.pim_ns
+                      + table[channels, context].breakdown.pnm_ns
                       for context in METAMORPHIC_CONTEXTS]
             assert totals == sorted(totals), channels
 
     def test_pim_time_does_not_increase_with_channels(self, table):
         for context in METAMORPHIC_CONTEXTS:
-            pim = [table[channels, context].pim_ns
+            pim = [table[channels, context].breakdown.pim_ns
                    for channels in METAMORPHIC_CHANNELS]
             assert pim == sorted(pim, reverse=True), context
+
+    def test_pim_time_is_at_least_the_roofline(self, table, config):
+        """Roofline bound: the bytes a block reads from DRAM cannot stream
+        faster than ``channels`` x the per-channel peak internal bandwidth
+        (GB/s is bytes per ns)."""
+        peak_gbps = DRAMChannel(config.timing,
+                                config.geometry).peak_internal_bandwidth_gbps()
+        for (channels, context), cost in table.items():
+            assert cost.dram_bytes_read > 0
+            roofline_ns = cost.dram_bytes_read / (channels * peak_gbps)
+            assert cost.breakdown.pim_ns >= roofline_ns, (channels, context)
 
 
 class TestInferenceSimulator:

@@ -790,6 +790,7 @@ class TestClusterPropagation:
         assert result.total_preemption_stall_s == tenant.preemption_stall_time_s
 
     def test_replica_sla_is_strictest_member_slo(self, small_model):
+        from repro.cluster.control import ClusterControlLoop, ControlConfig
         from repro.cluster.engine import ClusterEngine
         from repro.cluster.placement import ReplicaSpec
         from repro.cluster.tenant import TenantSpec
@@ -801,9 +802,10 @@ class TestClusterPropagation:
                                [tight, loose], default_model=small_model)
         shared = ReplicaSpec(replica_id=0, tenant_names=("tight", "loose"),
                              model=small_model, num_devices=2, first_device=0)
+        loop = ClusterControlLoop(engine, ControlConfig())
         # The sla_deadline preemption policy judges slack on a time-shared
         # replica against its strictest member tenant's SLO.
-        assert engine._replica_sla_s(shared) == 2.0
+        assert loop._new_runtime(shared).state.sla_latency_s == 2.0
         solo = ReplicaSpec(replica_id=1, tenant_names=("loose",),
                            model=small_model, num_devices=2, first_device=2)
-        assert engine._replica_sla_s(solo) == 30.0
+        assert loop._new_runtime(solo).state.sla_latency_s == 30.0

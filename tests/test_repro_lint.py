@@ -515,9 +515,9 @@ class TestRealTree:
 
     def test_reverting_sorted_set_fix_fires(self, tmp_path):
         target = _mutated(
-            tmp_path, SRC / "cluster" / "engine.py", "cluster/engine.py",
-            "for owner in sorted(set(owners)):",
-            "for owner in set(owners):")
+            tmp_path, SRC / "cluster" / "control.py", "cluster/control.py",
+            "plan_names = sorted({run.plan.name for run in used})",
+            "plan_names = list({run.plan.name for run in used})")
         assert "no-set-iteration" in rule_ids(lint_paths([target]))
 
     def test_reverting_iteration_fold_fix_fires(self, tmp_path):
