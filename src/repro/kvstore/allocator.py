@@ -5,11 +5,12 @@ iteration: a request allocates blocks for its prompt at admission, grows by
 one token per decode step (a new block only when it crosses a block
 boundary), and releases everything on completion or preemption.
 
-Swap is block-granular: :meth:`evict_blocks` stages an owner's coldest
-prefix blocks to host memory (the owner stays *partially resident* — its
-remaining blocks keep their device residency), and :meth:`readmit` brings
-the staged blocks back all-or-nothing, so a failed readmission under pool
-pressure never strands a half-granted allocation.
+:meth:`evict_blocks` stages an owner's coldest prefix blocks to host
+memory (the owner stays *partially resident* — its remaining blocks keep
+their device residency), and :meth:`readmit` brings the staged blocks back
+all-or-nothing, so a failed readmission under pool pressure never strands
+a half-granted allocation.  The serving engine does not use them: its swap
+evicts and re-allocates whole allocations.
 
 **Shared prefixes.**  :meth:`allocate` takes an optional prefix key: on a
 cache hit the owner *attaches* to the resident

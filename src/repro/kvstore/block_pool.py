@@ -6,10 +6,10 @@ free".  Block identities are not tracked — the simulator prices capacity
 and transfer volume, not physical placement — so allocation is a counter,
 which keeps the serving engine's per-iteration work O(running requests).
 
-Swap is block-granular: :meth:`swap_out` stages device blocks to host
-memory (freeing them for other requests while ``swapped_blocks`` remembers
-the host copies still owned by live allocations), :meth:`swap_in` brings
-them back all-or-nothing, and :meth:`drop_swapped` discards a host copy
+:meth:`swap_out` stages device blocks to host memory (freeing them for
+other requests while ``swapped_blocks`` remembers the host copies still
+owned by live allocations), :meth:`swap_in` brings them back
+all-or-nothing, and :meth:`drop_swapped` discards a host copy
 whose owner released (or migrated away).  The device-side invariant
 ``free_blocks + used_blocks == num_blocks`` holds through every operation;
 host-staged blocks live outside the device pool.
@@ -100,7 +100,7 @@ class BlockPool:
         self.num_blocks = int(budget_bytes / occupancy) // self.block_bytes
         self.free_blocks = self.num_blocks
         #: Blocks staged in host memory that still belong to a live
-        #: allocation (block-granular swap); not part of the device pool.
+        #: allocation; not part of the device pool.
         self.swapped_blocks = 0
         #: Resident shared-prefix chains, keyed by prefix hash.
         self.prefix_chains: Dict[Hashable, PrefixChain] = {}

@@ -18,10 +18,7 @@ requests against a :class:`~repro.core.system.CentSystem`:
   :class:`~repro.kvstore.PreemptionPolicy` evicts a victim whose KV is
   either swapped out over the CXL fabric and back
   (``preemption_restore="swap"``) or dropped and re-prefilled
-  (``"recompute"``); with ``preemption_partial_blocks=N`` the eviction is
-  **block-granular** — only the victim's N coldest prefix blocks are
-  staged to host memory, the rest stay resident, and the restore stall
-  shrinks to the staged blocks' transfer;
+  (``"recompute"``);
 * requests can be **live-migrated** between engines mid-flight
   (:meth:`ServingEngine.migrate_out` / :meth:`ServingEngine.migrate_in`):
   the KV streams through host memory priced like a swap, and the request
@@ -283,7 +280,6 @@ class KvMigration:
     recompute_tokens: int
     stall_s: float
     prefill_stall_s: float
-    partial_evictions: int
     migrated_count: int
     migrated_kv_bytes: int
     #: Prefix-cache history travels too (the destination's result keeps
@@ -341,12 +337,6 @@ class ServingEngine:
     preemption_restore:
         How a victim's KV comes back: ``"swap"`` (CXL-priced staging to
         host memory and back) or ``"recompute"`` (drop and re-prefill).
-    preemption_partial_blocks:
-        Block-granular swap: evict only this many of a victim's coldest
-        prefix blocks per preemption (the victim stays partially resident
-        and re-admits just the staged blocks), instead of its whole
-        allocation.  ``None`` (default) keeps the legacy full eviction;
-        requires ``preemption_restore="swap"``.
     prefix_sharing:
         Shared-prefix KV reuse in paged mode (``True`` by default).  A
         query tagged with ``prefix_id``/``prefix_tokens`` whose prefix
@@ -385,7 +375,6 @@ class ServingEngine:
         kv_block_tokens: int = 16,
         preemption_policy: str = "lru",
         preemption_restore: str = "swap",
-        preemption_partial_blocks: Optional[int] = None,
         prefix_sharing: bool = True,
         vectorize: bool = True,
     ) -> None:
@@ -401,10 +390,9 @@ class ServingEngine:
             )
         if kv_block_tokens <= 0:
             raise ValueError("kv_block_tokens must be positive")
-        # Fail fast on bad policy/restore/partial knobs with the policy's
-        # own validation (one definition of the valid sets and messages).
-        PreemptionPolicy(preemption_policy, restore=preemption_restore,
-                         partial_blocks=preemption_partial_blocks)
+        # Fail fast on bad policy/restore knobs with the policy's own
+        # validation (one definition of the valid sets and messages).
+        PreemptionPolicy(preemption_policy, restore=preemption_restore)
         self.system = system
         self.model = system.model
         self.plan = plan
@@ -422,7 +410,6 @@ class ServingEngine:
         self.kv_block_tokens = kv_block_tokens
         self.preemption_policy = preemption_policy
         self.preemption_restore = preemption_restore
-        self.preemption_partial_blocks = preemption_partial_blocks
         self.prefix_sharing = prefix_sharing
         self.vectorize = vectorize
         self._profile = ModelMemoryProfile(self.model)
@@ -656,7 +643,6 @@ class ServingEngine:
                 self.preemption_policy,
                 restore=self.preemption_restore,
                 sla_latency_s=sla_latency_s,
-                partial_blocks=self.preemption_partial_blocks,
             )
 
         state = EngineState(
@@ -891,22 +877,14 @@ class ServingEngine:
         """Re-book a preempted request's KV, all or nothing.
 
         Reserve mode (reached only by live migration) re-books the
-        full-context reservation.  Paged mode re-admits just the staged
-        blocks of a partially-resident victim and re-allocates everyone
-        else from scratch; a failed grant leaves no blocks behind.
+        full-context reservation.  Paged mode re-allocates the blocks for
+        the restored context; a failed grant leaves no blocks behind.
         """
         if not state.paged:
             return self._reserve(state, request)
-        allocator = state.allocator
-        if request.swapped_kv_blocks:
-            booked = allocator.readmit(request.request_id)
-        else:
-            booked = allocator.allocate(request.request_id,
+        return state.allocator.allocate(request.request_id,
                                         request.resume_kv_tokens,
                                         now_s=state.clock)
-        if booked:
-            request.swapped_kv_blocks = 0
-        return booked
 
     def _book_admission(self, state: EngineState, head: ServingRequest) -> bool:
         """Book the waiting head's KV: its full-context reservation, or
@@ -1400,56 +1378,21 @@ class ServingEngine:
             victim.resume_kv_tokens = context
         state.running.remove(victim)
         state.preempted.append(victim)
+        swapped = ({"bytes": victim.swap_bytes} if policy.restore == "swap"
+                   else {})
         self._log_preemption(state, victim, "full", restore=policy.restore,
-                             kv_tokens=tokens_with_kv, context=context)
-
-    def _stage_out(self, state: EngineState, victim: ServingRequest,
-                   num_blocks: int, *, park: bool) -> None:
-        """Block-granular eviction: stage the victim's coldest prefix
-        blocks to host memory, keeping the rest device-resident.
-
-        ``park=True`` takes a runner out of the batch (its restore is a
-        small swap-in of just the staged blocks instead of re-allocating —
-        and re-transferring — the whole context).  ``park=False`` deepens
-        the eviction of an *already parked* victim when no runner is left
-        to evict: the extra bite joins the same parked episode — its
-        restore grows by the staged blocks and its stall clock keeps
-        running from the original eviction — instead of deadlocking the
-        survivor's growth.
-        """
-        allocator, clock = state.allocator, state.clock
-        staged = allocator.evict_blocks(victim.request_id, num_blocks)
-        victim.swapped_kv_blocks += staged
-        victim.partial_evictions += 1
-        victim.preempted_count += 1
-        bytes_out = staged * allocator.pool.block_bytes
-        out_s = kv_swap_time_s(bytes_out, self.system.config.link,
-                               pp_stages=state.plan.pp_stages)
-        victim.num_swap_outs += 1
-        victim.swap_time_s += out_s
-        if park:
-            victim.preempt_time_s = clock
-            victim.state = RequestState.PREEMPTED
-            victim.restore_ready_s = 0.0
-            victim.restore_via = "swap"
-            # The allocation survives: resume re-admits the staged blocks
-            # and the KV token count is unchanged.
-            victim.resume_kv_tokens = victim.kv_tokens
-            victim.swap_bytes = bytes_out
-            victim.swap_done_s = clock + out_s
-            state.running.remove(victim)
-            state.preempted.append(victim)
-        else:
-            victim.swap_bytes += bytes_out
-            # The fresh transfer queues behind any still-draining one.
-            victim.swap_done_s = max(victim.swap_done_s, clock) + out_s
-        self._log_preemption(state, victim, "partial", staged_blocks=staged,
-                             park=park)
+                             kv_tokens=tokens_with_kv, context=context,
+                             **swapped)
 
     def _resume(self, state: EngineState, request: ServingRequest) -> None:
         """Bring a preempted request back; its KV is already booked."""
         clock = state.clock
         via = request.restore_via
+        # A migrated request's swap-in is the migration's own transfer,
+        # counted by the cluster's ``cluster.migrate`` event instead.
+        swap_in_bytes = (request.swap_bytes
+                         if via == "swap" and not request.migration_pending
+                         else 0)
         request.kv_tokens = request.resume_kv_tokens
         before_first = request.first_token_time_s is None
         parked_s = clock - request.preempt_time_s
@@ -1476,16 +1419,17 @@ class ServingEngine:
         rebuilding = request.prefill_remaining > 0 or request.restore_remaining > 0
         request.state = RequestState.PREFILL if rebuilding else RequestState.DECODE
         if state.recorder is not None:
+            swapped = {"bytes": swap_in_bytes} if swap_in_bytes else {}
             state.recorder.event("request.resume", clock, request.request_id,
                                  via=via, ready_s=request.restore_ready_s,
-                                 rebuild_tokens=request.restore_remaining)
+                                 rebuild_tokens=request.restore_remaining,
+                                 **swapped)
 
     def _grow_or_preempt(self, state: EngineState,
                          candidates: List[ServingRequest]) -> List[ServingRequest]:
         """Grow each decodable request's KV to its context, evicting on
         pool exhaustion; returns the requests that may decode now."""
         allocator, policy, clock = state.allocator, state.policy, state.clock
-        partial = policy.partial_blocks
         batch: List[ServingRequest] = []
         for request in candidates:
             if request.state is RequestState.PREEMPTED:
@@ -1505,29 +1449,12 @@ class ServingEngine:
                     # preempting any live request.
                     allocator.evict_prefix(victim.key)
                 elif victim is not None:
-                    # Block-granular swap: stage only the victim's coldest
-                    # prefix blocks when it holds more than that; a victim
-                    # at or below the partial size is evicted whole.
-                    if (partial is not None
-                            and allocator.holds_resident_blocks(
-                                victim.request_id) > partial):
-                        self._stage_out(state, victim, partial, park=True)
-                    else:
-                        self._preempt(state, victim)
+                    self._preempt(state, victim)
                     if victim in batch:
                         batch.remove(victim)
-                else:
-                    # No runner left to evict; free blocks from a parked,
-                    # still partially-resident victim instead of
-                    # deadlocking the survivor's growth.
-                    parked = ([r for r in state.preempted
-                               if allocator.holds_resident_blocks(r.request_id) > 0]
-                              if partial is not None else [])
-                    victim = policy.select_victim(parked, clock)
-                    if victim is not None:
-                        self._stage_out(state, victim, partial, park=False)
-                    elif not self._release_sharing(state, request):
-                        break
+                elif not self._release_sharing(state, request):
+                    # No runner left to evict and sharing holds nothing.
+                    break
                 grown = allocator.grow(request.request_id, target)
             if grown:
                 request.kv_tokens = target
@@ -1568,26 +1495,22 @@ class ServingEngine:
 
         The prefix joins the victim's restore as if it had never been
         shared: a swap victim stages it out now and brings it back with
-        the rest of its KV, a recompute victim rebuilds it.  Like a
-        deepening :meth:`_stage_out`, the bite joins the parked episode.
+        the rest of its KV, a recompute victim rebuilds it.  The bite
+        joins the parked episode: its restore grows and its stall clock
+        keeps running from the original eviction.
         """
         allocator, clock = state.allocator, state.clock
         blocks = allocator.unpin_prefix(victim.request_id, now_s=clock)
         victim.preempted_count += 1
-        if victim.swapped_kv_blocks:
-            # Block-granular park: the prefix blocks count as staged.
-            victim.swapped_kv_blocks += blocks
-            bytes_out = blocks * allocator.pool.block_bytes
-        else:
-            tokens = min(blocks * allocator.pool.block_tokens,
-                         victim.context_length)
-            if victim.restore_via != "swap":
-                victim.recompute_tokens += tokens
-                victim.restore_remaining += tokens
-                victim.restore_total += tokens
-                self._log_preemption(state, victim, "prefix", tokens=tokens)
-                return
-            bytes_out = tokens * state.bytes_per_token
+        tokens = min(blocks * allocator.pool.block_tokens,
+                     victim.context_length)
+        if victim.restore_via != "swap":
+            victim.recompute_tokens += tokens
+            victim.restore_remaining += tokens
+            victim.restore_total += tokens
+            self._log_preemption(state, victim, "prefix", tokens=tokens)
+            return
+        bytes_out = tokens * state.bytes_per_token
         out_s = kv_swap_time_s(bytes_out, self.system.config.link,
                                pp_stages=state.plan.pp_stages)
         victim.num_swap_outs += 1
@@ -1668,7 +1591,6 @@ class ServingEngine:
                 max(now_s - request.preempt_time_s, 0.0)
                 if (request.state is RequestState.PREEMPTED
                     and request.first_token_time_s is None) else 0.0),
-            partial_evictions=request.partial_evictions,
             migrated_count=request.migrated_count,
             migrated_kv_bytes=request.migrated_kv_bytes,
             prefix_lookups=request.prefix_lookups,
@@ -1697,7 +1619,6 @@ class ServingEngine:
         if request in state.running:
             state.running.remove(request)
         request.kv_tokens = 0
-        request.swapped_kv_blocks = 0
         request.restore_via = ""
         request.migration_pending = False
         request.state = RequestState.MIGRATED
@@ -1738,7 +1659,6 @@ class ServingEngine:
         request.recompute_tokens = moved.recompute_tokens
         request.stall_s = moved.stall_s
         request.prefill_stall_s = moved.prefill_stall_s
-        request.partial_evictions = moved.partial_evictions
         request.migrated_count = moved.migrated_count + 1
         request.migrated_kv_bytes = moved.migrated_kv_bytes + moved.swap_bytes
         request.prefix_lookups = moved.prefix_lookups

@@ -94,7 +94,9 @@ def merge_queue_depth_timelines(
     replica's most recent value — simply interleaving the samples would
     report one replica's backlog where the caller expects the pool's.  A
     single input comes back unchanged, so the single-replica tenant keeps
-    engine parity.
+    engine parity.  The pool totals are running integer sums, moved by
+    each sample's change to its replica's value, so the merge is linear
+    after the sort.
     """
     timelines = [list(t) for t in timelines if t]
     if not timelines:
@@ -106,18 +108,18 @@ def merge_queue_depth_timelines(
         for index, timeline in enumerate(timelines)
         for sample in timeline
     )
-    latest: dict = {}
+    latest_queued = [0] * len(timelines)
+    latest_running = [0] * len(timelines)
+    queued_total = running_total = 0
     merged = []
-    i = 0
-    while i < len(events):
-        now = events[i][0]
-        while i < len(events) and events[i][0] == now:
-            _, index, (_, queued, running) = events[i]
-            latest[index] = (queued, running)
-            i += 1
-        merged.append((now,
-                       sum(q for q, _ in latest.values()),
-                       sum(r for _, r in latest.values())))
+    last = len(events) - 1
+    for position, (now, index, (_, queued, running)) in enumerate(events):
+        queued_total += queued - latest_queued[index]
+        running_total += running - latest_running[index]
+        latest_queued[index] = queued
+        latest_running[index] = running
+        if position == last or events[position + 1][0] != now:
+            merged.append((now, queued_total, running_total))
     return merged
 
 
@@ -185,7 +187,6 @@ def aggregate_serving_result(
         swap_time_s=sum(r.swap_time_s for r in requests),
         recompute_tokens=sum(r.recompute_tokens for r in requests),
         preemption_stall_time_s=sum(r.stall_s for r in requests),
-        num_partial_evictions=sum(r.partial_evictions for r in requests),
         num_migrated_in=sum(r.migrated_count for r in requests),
         migrated_kv_bytes=sum(r.migrated_kv_bytes for r in requests),
         num_prefix_lookups=sum(r.prefix_lookups for r in requests),

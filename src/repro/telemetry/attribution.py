@@ -391,7 +391,7 @@ class TraceAttribution:
     request_rows: Tuple[Dict[str, Any], ...]
     #: ``{scope: [(ts_s, used_fraction), ...]}`` from the kv.* events.
     kv_occupancy: Dict[str, List[Tuple[float, float]]]
-    #: KV bytes staged over the CXL link (evictions + readmissions).
+    #: KV bytes swapped over the CXL link (swap-outs + swap-ins).
     link_swap_bytes: int
     #: KV bytes live migrations moved through host memory.
     link_migrated_bytes: int
@@ -477,13 +477,23 @@ def _request_rows(events: Sequence[Event]) -> List[Dict[str, Any]]:
 
 def _kv_occupancy(events: Sequence[Event]) -> Tuple[
         Dict[str, List[Tuple[float, float]]], int]:
-    """Per-scope occupancy timeline plus total CXL-staged KV bytes."""
+    """Per-scope occupancy timeline plus total CXL-swapped KV bytes.
+
+    The engine's swaps carry the bytes it priced: a swap-out (or a parked
+    reader's unpinned prefix) on ``serving.preempt``, a swap-in on
+    ``request.resume``.  A live migration's swap-in carries none; its bytes
+    are ``link_migrated_bytes``.  The allocator's own ``kv.evict`` /
+    ``kv.readmit`` staging counts by blocks.
+    """
     capacity: Dict[str, int] = {}
     block_bytes: Dict[str, int] = {}
     timelines: Dict[str, List[Tuple[float, float]]] = {}
     swap_bytes = 0
     for event in events:
         name = event["name"]
+        if name in ("serving.preempt", "request.resume"):
+            swap_bytes += int((event.get("args") or {}).get("bytes", 0))
+            continue
         if not name.startswith("kv."):
             continue
         scope = event["scope"]
@@ -591,7 +601,7 @@ def utilization_summary(events: Iterable[Event]) -> str:
     lines.append("")
     lines.append(
         f"CXL link: {attribution.link_swap_bytes / 2**20:.1f} MiB KV "
-        f"swapped (evict + readmit), "
+        f"swapped (swap-out + swap-in), "
         f"{attribution.link_migrated_bytes / 2**20:.1f} MiB live-migrated "
         "through host memory")
     return "\n".join(lines)

@@ -33,7 +33,8 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 __all__ = ["ScopedRecorder", "TraceEvent", "TraceRecorder"]
 
 #: Event names whose ``(ts_s, request_id)`` pairs reconstruct the legacy
-#: ``preemption_log`` exactly (one event per eviction, full or partial).
+#: ``preemption_log`` exactly (one event per eviction, whole-request or
+#: prefix unpin).
 PREEMPTION_EVENT = "serving.preempt"
 
 

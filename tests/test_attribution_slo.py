@@ -54,6 +54,7 @@ from repro.workloads import (
     bursty_arrivals,
     fixed_queries,
     poisson_arrivals,
+    prefix_reuse_queries,
     sharegpt_like_queries,
     with_arrivals,
 )
@@ -288,6 +289,70 @@ class TestTraceAttribution:
             (1.0, 0.6), (2.0, 0.1), (3.0, 0.2), (4.0, 0.5)]
         # evict staged 3 blocks out, readmit brought 3 back: 6 KiB total.
         assert attribution.link_swap_bytes == 6 * 1024
+
+    @pytest.mark.parametrize("workload", ["fixed", "prefix_reuse"])
+    def test_link_swap_bytes_equal_the_priced_swaps(
+            self, system, small_model, tight_capacity, monkeypatch, workload):
+        """Every swap-out and swap-in the engine prices on the CXL link
+        shows up in the trace-derived link bytes, and nothing else does."""
+        import repro.serving.engine as engine_module
+        priced = []
+        real = engine_module.kv_swap_time_s
+
+        def ledger(num_bytes, link, **kwargs):
+            priced.append(num_bytes)
+            return real(num_bytes, link, **kwargs)
+
+        monkeypatch.setattr(engine_module, "kv_swap_time_s", ledger)
+        if workload == "fixed":
+            trace, capacity = preempting_trace(), tight_capacity
+        else:
+            # A pool of about one context: parked readers' shared prefixes
+            # are unpinned and swapped out too.
+            profile = ModelMemoryProfile(small_model)
+            capacity = int(profile.parameter_bytes
+                           + profile.kv_cache_bytes_per_token() * 512)
+            trace = with_arrivals(
+                prefix_reuse_queries(150, num_tenants=4, reuse_fraction=0.8,
+                                     seed=7, max_context=2048),
+                poisson_arrivals(150, 8.0, seed=3))
+        engine = ServingEngine(system, admission="paged",
+                               preemption_restore="swap",
+                               memory_capacity_bytes=capacity)
+        recorder = TraceRecorder()
+        result = engine.run(trace, telemetry=recorder)
+        recorder.finalize()
+        assert result.num_swap_outs > 0 and result.num_swap_ins > 0
+        assert len(priced) == result.num_swap_outs + result.num_swap_ins
+        events = list(iter_scope_events(recorder))
+        assert attribute_trace(events).link_swap_bytes == sum(priced) > 0
+
+    def test_migrated_swap_in_is_migration_traffic_only(self, system):
+        """A live-migrated request's swap-in on the destination is the
+        migration's transfer: it is not counted as swap traffic."""
+        source = ServingEngine(system, admission="paged")
+        target = ServingEngine(system, admission="paged")
+        trace = with_arrivals(sharegpt_like_queries(12, seed=1),
+                              poisson_arrivals(12, 300.0, seed=1))
+        state_a = source.begin(trace)
+        source.advance(state_a, until_s=0.05)
+        movable = [r for r in state_a.unfinished
+                   if r.context_length > 0 and r.restore_remaining == 0]
+        assert movable
+        recorder = TraceRecorder()
+        state_b = target.begin([], planning_trace=trace, telemetry=recorder)
+        state_b.clock = 0.05
+        for request in movable:
+            target.migrate_in(state_b,
+                              source.migrate_out(state_a, request, now_s=0.05),
+                              now_s=0.05)
+        run = target.advance(state_b)
+        recorder.finalize()
+        assert not run.preemption_log
+        events = list(iter_scope_events(recorder))
+        assert any(e["name"] == "request.resume"
+                   and e["args"]["via"] == "swap" for e in events)
+        assert attribute_trace(events).link_swap_bytes == 0
 
     def test_scope_busy_sums_window_spans(self):
         events = [

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import CentConfig
 from repro.core.results import ServingResult
@@ -339,14 +340,6 @@ class TestPreemptionPolicy:
         with pytest.raises(ValueError):
             PreemptionPolicy(sla_latency_s=0.0)
 
-    def test_partial_blocks_validation(self):
-        assert PreemptionPolicy(partial_blocks=4).partial_blocks == 4
-        assert PreemptionPolicy().partial_blocks is None
-        with pytest.raises(ValueError):
-            PreemptionPolicy(partial_blocks=0)
-        with pytest.raises(ValueError, match="swap"):
-            PreemptionPolicy(restore="recompute", partial_blocks=4)
-
 
 class TestSwapPricing:
     def test_scales_with_bytes_and_floors_at_latency(self):
@@ -530,95 +523,6 @@ class TestPagedAdmission:
         assert set(RESTORE_MODES) == {"swap", "recompute"}
 
 
-class TestPartialEviction:
-    """Block-granular swap: evict cold prefix blocks, not whole requests."""
-
-    @pytest.fixture(scope="class")
-    def slow_system(self, small_model):
-        # A slow fabric makes the KV transfer, not the engine iteration,
-        # the dominant restore cost — the regime block-granular swap is for.
-        from repro.cxl.link import CxlLinkParameters
-        link = CxlLinkParameters(lane_bandwidth_gbps=0.05)
-        config = CentConfig(num_devices=4, context_samples=2, link=link)
-        return CentSystem(config, small_model)
-
-    def transient_trace(self):
-        # One big low-priority decoder; two short interactive requests
-        # force a transient squeeze of a few blocks, then recede.
-        return [Query(624, 160, priority=0.5),
-                Query(64, 64, priority=2.0),
-                Query(64, 64, priority=2.0)]
-
-    def build(self, slow_system, pp_plan, profile, partial):
-        bpt = profile.kv_cache_bytes_per_token()
-        capacity = int(profile.parameter_bytes + 50 * 16 * bpt)
-        return ServingEngine(slow_system, pp_plan, memory_capacity_bytes=capacity,
-                             admission="paged", preemption_policy="priority",
-                             preemption_restore="swap",
-                             preemption_partial_blocks=partial)
-
-    def test_partial_eviction_stages_fewer_bytes_and_finishes_sooner(
-            self, slow_system, pp_plan, profile):
-        trace = self.transient_trace()
-        full = self.build(slow_system, pp_plan, profile, None).run(trace)
-        part = self.build(slow_system, pp_plan, profile, 2).run(trace)
-        assert full.num_completed == part.num_completed == 3
-        assert full.num_partial_evictions == 0
-        assert part.num_partial_evictions > 0
-        assert part.num_preemptions == part.num_partial_evictions
-        # A 2-block bite never pays a whole-context transfer, so the total
-        # staged volume (and its CXL time) shrinks...
-        assert part.swap_time_s < full.swap_time_s
-        # ... and the transient squeeze no longer costs a big-request
-        # round trip: the run drains strictly sooner.
-        assert part.makespan_s < full.makespan_s
-
-    def test_partially_resident_victim_readmits_and_finishes(
-            self, slow_system, pp_plan, profile):
-        run = self.build(slow_system, pp_plan, profile, 2).simulate(
-            self.transient_trace())
-        assert all(r.state is RequestState.FINISHED for r in run.requests)
-        victims = [r for r in run.requests if r.partial_evictions]
-        assert victims
-        for victim in victims:
-            # Every staged bite came back: the allocation is whole again
-            # (and was released on completion).
-            assert victim.swapped_kv_blocks == 0
-            assert victim.num_swap_ins >= 1
-            assert victim.stall_s > 0
-
-    def test_pool_conserved_through_partial_eviction(self, slow_system,
-                                                     pp_plan, profile):
-        engine = self.build(slow_system, pp_plan, profile, 2)
-        state = engine.begin(self.transient_trace())
-        while not state.drained:
-            engine.advance(state, until_s=state.clock + 0.01)
-            pool = state.allocator.pool
-            assert pool.free_blocks + pool.used_blocks == pool.num_blocks
-            assert pool.swapped_blocks >= 0
-        pool = state.allocator.pool
-        # Drained: nothing resident, nothing staged in host memory.
-        assert pool.free_blocks == pool.num_blocks
-        assert pool.swapped_blocks == 0
-
-    def test_partial_eviction_is_deterministic(self, slow_system, pp_plan,
-                                               profile):
-        trace = self.transient_trace()
-        first = self.build(slow_system, pp_plan, profile, 2).simulate(trace)
-        again = self.build(slow_system, pp_plan, profile, 2).simulate(trace)
-        assert first.preemption_log
-        assert again.preemption_log == first.preemption_log
-
-    def test_partial_knob_rejected_with_recompute(self, system, pp_plan):
-        with pytest.raises(ValueError, match="swap"):
-            ServingEngine(system, pp_plan, admission="paged",
-                          preemption_restore="recompute",
-                          preemption_partial_blocks=4)
-        with pytest.raises(ValueError):
-            ServingEngine(system, pp_plan, admission="paged",
-                          preemption_partial_blocks=-1)
-
-
 class TestPreemptionDeterminism:
     @pytest.mark.parametrize("restore", RESTORE_MODES)
     def test_same_trace_same_victims_and_result(self, system, pp_plan, profile,
@@ -729,6 +633,37 @@ class TestQueueDepthTimeline:
         assert merge_queue_depth_timelines([a]) == a
         assert merge_queue_depth_timelines([]) == []
         assert merge_queue_depth_timelines([[], b]) == b
+
+    @staticmethod
+    def brute_force_merge(timelines):
+        """At every sample time, sum each replica's latest sample at or
+        before it, scanning every timeline from the start."""
+        times = sorted({time_s for t in timelines for time_s, _, _ in t})
+        merged = []
+        for now in times:
+            held = [[s for s in t if s[0] <= now] for t in timelines]
+            merged.append((now, sum(h[-1][1] for h in held if h),
+                           sum(h[-1][2] for h in held if h)))
+        return merged
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 50),
+                           st.integers(0, 8)), max_size=15)
+        # One sample per time within a replica, as the engine records;
+        # the narrow time range makes ties across replicas common.
+        .map(lambda samples: sorted({t: (float(t), q, r)
+                                     for t, q, r in samples}.values())),
+        max_size=4))
+    def test_merge_matches_brute_force(self, timelines):
+        from repro.serving import merge_queue_depth_timelines
+
+        merged = merge_queue_depth_timelines(timelines)
+        assert merged == self.brute_force_merge(timelines)
+        assert all(type(q) is int and type(r) is int for _, q, r in merged)
+        non_empty = [t for t in timelines if t]
+        if len(non_empty) == 1:
+            assert merged == non_empty[0]
 
     def test_mean_queue_depth_math(self):
         result = dataclasses.replace(

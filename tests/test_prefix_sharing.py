@@ -71,8 +71,7 @@ def run_fingerprint(engine, trace):
         tuple((r.state.name, r.finish_time_s, r.first_token_time_s,
                r.last_token_time_s, r.admitted_time_s, r.stall_s,
                r.preempted_count, r.num_swap_outs, r.num_swap_ins,
-               r.swap_time_s, r.recompute_tokens, r.partial_evictions,
-               r.prefix_lookups, r.prefix_hits, r.prefix_hit_tokens,
+               r.swap_time_s, r.recompute_tokens, r.prefix_lookups, r.prefix_hits, r.prefix_hit_tokens,
                r.cow_blocks, tuple(r.tbt_samples_s)) for r in run.requests),
     )
 
@@ -422,13 +421,6 @@ class TestOneRequestPool:
         assert shared.num_completed == fresh.num_completed > 0
         assert shared.num_rejected == fresh.num_rejected
         assert shared.num_prefix_hits > 0
-
-    def test_block_granular_swap_completes(self, system, small_model):
-        result = self.run(system, small_model, preemption_restore="swap",
-                          preemption_partial_blocks=4)
-        fresh = self.run(system, small_model, preemption_restore="swap",
-                         preemption_partial_blocks=4, prefix_sharing=False)
-        assert result.num_completed == fresh.num_completed
 
     def test_traced_run_matches_and_conserves(self, system, small_model):
         engine = ServingEngine(

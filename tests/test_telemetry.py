@@ -80,9 +80,6 @@ SCENARIOS = {
     "paged_swap": dict(admission="paged", preemption_restore="swap"),
     "paged_recompute": dict(admission="paged",
                             preemption_restore="recompute"),
-    "paged_partial_eviction": dict(admission="paged",
-                                   preemption_restore="swap",
-                                   preemption_partial_blocks=2),
     "paged_interleave": dict(admission="paged", preemption_restore="swap",
                              interleave_prefill=True),
 }
@@ -199,7 +196,7 @@ class TestRecorder:
         scope = TraceRecorder().scope("engine")
         scope.event("serving.preempt", 1.0, 4, kind="full")
         scope.event("request.resume", 2.0, 4, via="swap")
-        scope.event("serving.preempt", 3.0, 9, kind="partial")
+        scope.event("serving.preempt", 3.0, 9, kind="prefix")
         assert scope.preemption_view() == [(1.0, 4), (3.0, 9)]
         scope.event("serving.preempt", 4.0, 4, kind="full")
         assert scope.preemption_view() == [(1.0, 4), (3.0, 9), (4.0, 4)]
@@ -229,8 +226,7 @@ class TestTraceEquivalence:
                         pressure=True), trace)
         assert vec == scalar
 
-    @pytest.mark.parametrize("scenario", ["paged_swap", "paged_recompute",
-                                          "paged_partial_eviction"])
+    @pytest.mark.parametrize("scenario", ["paged_swap", "paged_recompute"])
     def test_streams_identical_with_preemption(self, system, tight_capacity,
                                                scenario):
         """A pool holding ~2 contexts forces evictions; the preempt /
